@@ -4,7 +4,7 @@
 GO ?= go
 FUZZTIME ?= 2s
 
-.PHONY: check vet build test race bench benchdiff fmt fuzz chaos slo ha gossip admit hier
+.PHONY: check vet build test race bench benchdiff fmt fuzz chaos slo ha gossip admit hier perf
 
 check: vet build race fuzz
 
@@ -108,6 +108,16 @@ hier:
 	$(GO) test -race ./internal/selectsvc -run='Hierarchy' -v
 	$(GO) run ./cmd/expt -run hier -hier-out hier.json
 	$(GO) run ./cmd/benchdiff -hier hier.json -hier-min-speedup $(HIER_MIN_SPEEDUP) -hier-alpha $(HIER_ALPHA) -min-quality $(HIER_MIN_QUALITY)
+
+# The end-to-end benchmark BENCHMARK.json declares: a real selectd (and,
+# for fig4_advisory, a remosd fleet) behind sockets under open-loop load,
+# one 22-second run per workload, each printing its metrics and exiting
+# nonzero on a failed correctness check. bench/ is a module of its own
+# that builds the daemons from this checkout into .bench_build/.
+perf:
+	for w in fig4_advisory flat200_sweep flat200_admit tiered10k_hier; do \
+		bash bench/run.sh --workload $$w --seed 1 --seconds 22 --trace 0 || exit 1; \
+	done
 
 fmt:
 	gofmt -l -w $(shell $(GO) list -f '{{.Dir}}' ./...)

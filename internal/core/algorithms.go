@@ -166,7 +166,7 @@ func sweepSelect(s *topology.Snapshot, req Request, opts Options, balanced bool)
 // components, which the fast path exploits heavily: consecutive components
 // of the merge hierarchy usually re-select the same top-CPU node set.
 func poolCandidates(s *topology.Snapshot, cands []int, req Request, pinned map[int]bool,
-	balanced bool, priority float64, memo map[string]poolEval,
+	balanced bool, priority float64, memo *poolMemo,
 	yield func(nodes []int, score float64, res Result)) {
 	for _, pool := range candidatePools(s, cands, req) {
 		nodes := topCPUNodes(s, pool, req.M, pinned)
@@ -174,11 +174,11 @@ func poolCandidates(s *topology.Snapshot, cands []int, req Request, pinned map[i
 			continue
 		}
 		if memo != nil {
-			key := nodeSetKey(nodes)
-			e, ok := memo[key]
+			memo.key = AppendNodeSetKey(memo.key[:0], nodes)
+			e, ok := memo.evals[string(memo.key)] // no allocation: the key is materialised only on insert
 			if !ok {
 				e = evalPool(s, nodes, req, balanced, priority)
-				memo[key] = e
+				memo.evals[string(memo.key)] = e
 			}
 			if e.keep {
 				yield(nodes, e.score, e.res)
@@ -197,6 +197,13 @@ type poolEval struct {
 	res   Result
 	score float64
 	keep  bool
+}
+
+// poolMemo maps a node set's AppendNodeSetKey bytes to its evaluation; key
+// is the buffer lookups encode into.
+type poolMemo struct {
+	evals map[string]poolEval
+	key   []byte
 }
 
 // evalPool applies the latency ceiling, scores the set, and applies the
@@ -218,20 +225,19 @@ func evalPool(s *topology.Snapshot, nodes []int, req Request, balanced bool, pri
 	return poolEval{res: res, score: score, keep: true}
 }
 
-// nodeSetKey encodes a sorted node-ID set as a compact string key for the
-// pool memo (varint bytes; self-delimiting, so distinct sets cannot
-// collide).
-func nodeSetKey(nodes []int) string {
-	b := make([]byte, 0, len(nodes)*2+4)
+// AppendNodeSetKey appends the memo key of a sorted node-ID set to dst:
+// varint bytes, self-delimiting, so distinct sets cannot collide. Looking a
+// map up with string(key) does not allocate.
+func AppendNodeSetKey(dst []byte, nodes []int) []byte {
 	for _, id := range nodes {
 		v := uint(id)
 		for v >= 0x80 {
-			b = append(b, byte(v)|0x80)
+			dst = append(dst, byte(v)|0x80)
 			v >>= 7
 		}
-		b = append(b, byte(v))
+		dst = append(dst, byte(v))
 	}
-	return string(b)
+	return dst
 }
 
 // referenceSweepSelect is the literal bottleneck-edge-deletion sweep behind
@@ -258,13 +264,13 @@ func referenceSweepSelect(s *topology.Snapshot, req Request, opts Options, balan
 	for _, id := range eligible {
 		isEligible[id] = true
 	}
-	priority := req.priority()
+	priority := req.Priority()
 
 	// Edge metric: absolute available bandwidth for MaxBandwidth,
 	// fractional availability for Balanced.
 	metric := func(l int) float64 {
 		if balanced {
-			return linkFactor(s, l, req)
+			return LinkFactor(s, l, req)
 		}
 		return s.AvailBW[l]
 	}

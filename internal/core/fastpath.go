@@ -68,12 +68,12 @@ func fastSweepSelect(s *topology.Snapshot, req Request, opts Options, balanced b
 	for _, id := range eligible {
 		isEligible[id] = true
 	}
-	priority := req.priority()
+	priority := req.Priority()
 
 	metricOf := make([]float64, g.NumLinks())
 	for l := range metricOf {
 		if balanced {
-			metricOf[l] = linkFactor(s, l, req)
+			metricOf[l] = LinkFactor(s, l, req)
 		} else {
 			metricOf[l] = s.AvailBW[l]
 		}
@@ -115,7 +115,7 @@ func fastSweepSelect(s *topology.Snapshot, req Request, opts Options, balanced b
 		cur[i] = -1
 	}
 
-	memo := make(map[string]poolEval)
+	memo := &poolMemo{evals: make(map[string]poolEval)}
 	candBuf := make([]int, 0, g.NumNodes())
 
 	// evaluate scores root's component as of reference round death and, if

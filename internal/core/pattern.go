@@ -124,7 +124,7 @@ func scorePairs(s *topology.Snapshot, nodes []int, req Request, pairs [][2]int) 
 			if bw := s.AvailBW[lid]; bw < res.PairMinBW {
 				res.PairMinBW = bw
 			}
-			if f := linkFactor(s, lid, req); f < res.MinBWFactor {
+			if f := LinkFactor(s, lid, req); f < res.MinBWFactor {
 				res.MinBWFactor = f
 			}
 		}
@@ -132,7 +132,7 @@ func scorePairs(s *topology.Snapshot, nodes []int, req Request, pairs [][2]int) 
 			res.MaxPairLatency = lat
 		}
 	}
-	res.MinResource = math.Min(res.MinCPU, req.priority()*res.MinBWFactor)
+	res.MinResource = math.Min(res.MinCPU, req.Priority()*res.MinBWFactor)
 	return res
 }
 
@@ -234,7 +234,7 @@ func BalancedPattern(s *topology.Snapshot, req Request, pattern Pattern) (Patter
 		}
 	}
 	sort.Slice(order, func(i, j int) bool {
-		fi, fj := linkFactor(s, order[i], req), linkFactor(s, order[j], req)
+		fi, fj := LinkFactor(s, order[i], req), LinkFactor(s, order[j], req)
 		if fi != fj {
 			return fi < fj
 		}
@@ -268,10 +268,10 @@ func BalancedPattern(s *topology.Snapshot, req Request, pattern Pattern) (Patter
 	}
 	evaluate()
 	for i := 0; i < len(order); {
-		v := linkFactor(s, order[i], req)
+		v := LinkFactor(s, order[i], req)
 		alive[order[i]] = false
 		i++
-		for i < len(order) && linkFactor(s, order[i], req) == v {
+		for i < len(order) && LinkFactor(s, order[i], req) == v {
 			alive[order[i]] = false
 			i++
 		}

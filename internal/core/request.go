@@ -80,8 +80,9 @@ type Request struct {
 	Pinned []int
 }
 
-// priority returns the effective compute priority.
-func (r Request) priority() float64 {
+// Priority returns the effective compute priority: ComputePriority, or 1
+// when unset.
+func (r Request) Priority() float64 {
 	if r.ComputePriority <= 0 {
 		return 1
 	}

@@ -40,7 +40,7 @@ func Score(s *topology.Snapshot, nodes []int, req Request) Result {
 					res.PairMinBW = bw
 					res.BottleneckLink = lid
 				}
-				if f := linkFactor(s, lid, req); f < res.MinBWFactor {
+				if f := LinkFactor(s, lid, req); f < res.MinBWFactor {
 					res.MinBWFactor = f
 				}
 				lat += s.Graph.Link(lid).Latency
@@ -53,13 +53,13 @@ func Score(s *topology.Snapshot, nodes []int, req Request) Result {
 	if len(res.Nodes) == 0 {
 		res.MinCPU = 0
 	}
-	res.MinResource = math.Min(res.MinCPU, req.priority()*res.MinBWFactor)
+	res.MinResource = math.Min(res.MinCPU, req.Priority()*res.MinBWFactor)
 	return res
 }
 
-// linkFactor returns the fractional availability of a link under the
+// LinkFactor returns the fractional availability of a link under the
 // request's heterogeneity convention.
-func linkFactor(s *topology.Snapshot, link int, req Request) float64 {
+func LinkFactor(s *topology.Snapshot, link int, req Request) float64 {
 	if req.RefCapacity > 0 {
 		return s.AvailBW[link] / req.RefCapacity
 	}

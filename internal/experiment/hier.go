@@ -19,8 +19,10 @@ import (
 // equivalence/quality suite on ≤200-node topologies (both paths must agree
 // exactly), a gated flat-vs-quotient latency A/B on the 10k-node two-tier
 // cluster testbed, and ungated showcase timings at 1k (fat-tree) and 50k
-// (two-tier, quotient only — the flat path's all-pairs route table stops
-// being worth materializing there).
+// (two-tier). Both arms run at every scale: the graph's route table covers
+// only the route core (101 switches at 10101 nodes, 501 at 50501 — 0.16 MB
+// and 2.4 MB), so neither arm's memory grows with the square of the node
+// count.
 
 // HierOptions parameterizes the benchmark.
 type HierOptions struct {
@@ -229,9 +231,8 @@ func timeSelects(reqs []struct {
 // runHierAB times the paired A/B on one topology: per rep, repaint the
 // conditions, rebuild the partition (untimed — it is a once-per-epoch
 // cost, reported separately), warm both arms, then time the same request
-// sequence through each. withFlat=false skips the flat arm entirely,
-// which also skips materializing the graph's all-pairs route table.
-func runHierAB(name string, g *topology.Graph, opt HierOptions, selects, reps int, withFlat bool) (flat, hier loadgen.HierModeReport, scale loadgen.HierScale, err error) {
+// sequence through each.
+func runHierAB(name string, g *topology.Graph, opt HierOptions, selects, reps int) (flat, hier loadgen.HierModeReport, scale loadgen.HierScale, err error) {
 	snap := topology.NewSnapshot(g)
 	nodes := len(g.Nodes())
 	flat = loadgen.HierModeReport{Topology: name, Nodes: nodes, Selects: selects, Reps: reps}
@@ -267,34 +268,30 @@ func runHierAB(name string, g *topology.Graph, opt HierOptions, selects, reps in
 		}
 		hier.LatencySamples = append(hier.LatencySamples, mean)
 
-		if withFlat {
-			runFlat := func(algo string, req core.Request) error {
-				if _, ferr := core.Select(algo, snap, req, src); ferr != nil {
-					return fmt.Errorf("flat %s M=%d: %w", algo, req.M, ferr)
-				}
-				return nil
+		runFlat := func(algo string, req core.Request) error {
+			if _, ferr := core.Select(algo, snap, req, src); ferr != nil {
+				return fmt.Errorf("flat %s M=%d: %w", algo, req.M, ferr)
 			}
-			if err = runFlat(reqs[0].algo, reqs[0].req); err != nil { // warm (builds routes)
-				return
-			}
-			if mean, err = timeSelects(reqs, runFlat); err != nil {
-				return
-			}
-			flat.LatencySamples = append(flat.LatencySamples, mean)
+			return nil
 		}
+		if err = runFlat(reqs[0].algo, reqs[0].req); err != nil { // warm
+			return
+		}
+		if mean, err = timeSelects(reqs, runFlat); err != nil {
+			return
+		}
+		flat.LatencySamples = append(flat.LatencySamples, mean)
 	}
 	for _, s := range hier.LatencySamples {
 		hier.MeanLatencyMs += s * 1e3 / float64(len(hier.LatencySamples))
 	}
 	scale.HierMeanMs = hier.MeanLatencyMs
-	if withFlat {
-		for _, s := range flat.LatencySamples {
-			flat.MeanLatencyMs += s * 1e3 / float64(len(flat.LatencySamples))
-		}
-		scale.FlatMeanMs = flat.MeanLatencyMs
-		if hier.MeanLatencyMs > 0 {
-			scale.Speedup = flat.MeanLatencyMs / hier.MeanLatencyMs
-		}
+	for _, s := range flat.LatencySamples {
+		flat.MeanLatencyMs += s * 1e3 / float64(len(flat.LatencySamples))
+	}
+	scale.FlatMeanMs = flat.MeanLatencyMs
+	if hier.MeanLatencyMs > 0 {
+		scale.Speedup = flat.MeanLatencyMs / hier.MeanLatencyMs
 	}
 	return flat, hier, scale, nil
 }
@@ -308,7 +305,7 @@ func RunHier(opt HierOptions) (loadgen.HierReport, error) {
 
 	flat, hier, _, err := runHierAB("tiered:100x100",
 		testbed.MultiCluster(100, 100, testbed.Ethernet100, 1e9),
-		opt, opt.Selects, opt.Reps, true)
+		opt, opt.Selects, opt.Reps)
 	if err != nil {
 		return loadgen.HierReport{}, fmt.Errorf("hier: 10k A/B: %w", err)
 	}
@@ -316,12 +313,12 @@ func RunHier(opt HierOptions) (loadgen.HierReport, error) {
 	var scales []loadgen.HierScale
 	if !opt.SkipScales {
 		_, _, ft, err := runHierAB("fattree:16",
-			testbed.FatTree(16, testbed.Ethernet100, 1e9), opt, 4, 2, true)
+			testbed.FatTree(16, testbed.Ethernet100, 1e9), opt, 4, 2)
 		if err != nil {
 			return loadgen.HierReport{}, fmt.Errorf("hier: 1k fat-tree: %w", err)
 		}
 		_, _, big, err := runHierAB("tiered:500x100",
-			testbed.MultiCluster(500, 100, testbed.Ethernet100, 1e9), opt, 4, 2, false)
+			testbed.MultiCluster(500, 100, testbed.Ethernet100, 1e9), opt, 4, 2)
 		if err != nil {
 			return loadgen.HierReport{}, fmt.Errorf("hier: 50k two-tier: %w", err)
 		}
@@ -344,14 +341,8 @@ func FormatHier(r loadgen.HierReport) string {
 	fmt.Fprintf(&b, "    flat %.3fms/select   hier %.4fms/select   speedup %.1fx (floor %.1fx, welch p %.4g at alpha %.4g)\n",
 		r.Flat.MeanLatencyMs, r.Hier.MeanLatencyMs, r.Speedup, r.MinSpeedup, r.WelchP, r.Alpha)
 	for _, s := range r.Scales {
-		fmt.Fprintf(&b, "  %s (%d nodes): %d clusters (%d collapsed), partition %.2fms, hier %.4fms/select",
-			s.Topology, s.Nodes, s.Clusters, s.CollapsedNodes, s.PartitionBuildMs, s.HierMeanMs)
-		if s.Speedup > 0 {
-			fmt.Fprintf(&b, ", flat %.3fms (%.1fx)", s.FlatMeanMs, s.Speedup)
-		} else {
-			fmt.Fprintf(&b, ", flat not run")
-		}
-		b.WriteByte('\n')
+		fmt.Fprintf(&b, "  %s (%d nodes): %d clusters (%d collapsed), partition %.2fms, hier %.4fms/select, flat %.3fms (%.1fx)\n",
+			s.Topology, s.Nodes, s.Clusters, s.CollapsedNodes, s.PartitionBuildMs, s.HierMeanMs, s.FlatMeanMs, s.Speedup)
 	}
 	if r.Pass {
 		fmt.Fprintf(&b, "  PASS\n")

@@ -53,7 +53,7 @@ func TestPaintConditionsDeterministic(t *testing.T) {
 func TestRunHierABSmall(t *testing.T) {
 	flat, hier, scale, err := runHierAB("tiered:4x8",
 		testbed.MultiCluster(4, 8, testbed.Ethernet100, 1e9),
-		HierOptions{Seed: 3}.withDefaults(), 4, 2, true)
+		HierOptions{Seed: 3}.withDefaults(), 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,29 +46,20 @@ type Bundle struct {
 	AvailBW, Capacity float64
 }
 
-// Partition is the cluster decomposition of one snapshot: the bundles, the
-// residual backbone (every node not collapsed into a bundle), and a
-// backbone-only static route table that reproduces the full graph's routes
-// between attachment points. A partition is valid only for snapshots
-// carrying the same measurements it was built from; services cache it per
-// measurement epoch exactly like the plan cache.
+// Partition is the cluster decomposition of one snapshot: the bundles and
+// the residual backbone (every node not collapsed into a bundle). Routes
+// are the graph's own; the partition only groups and ranks. A partition is
+// valid only for snapshots carrying the same measurements it was built
+// from; services cache it per measurement epoch exactly like the plan
+// cache.
 type Partition struct {
 	g       *topology.Graph
 	bundles []Bundle
 
-	// bundleOf maps a node to its bundle index, or -1.
-	bundleOf []int
-	// accessOf maps a bundle member to its access link, or -1.
-	accessOf []int
-	// anchorOf maps every node to its routing anchor: the bundle anchor
-	// for members, the node itself for backbone nodes.
-	anchorOf []int
 	// backboneIDs are the non-collapsed node IDs, ascending; bidx maps a
 	// node ID to its dense index in backboneIDs, or -1 for members.
 	backboneIDs []int
 	bidx        []int
-
-	routes *backboneRoutes
 }
 
 // bundleSig is the equivalence signature members of one bundle must share.
@@ -88,24 +79,11 @@ type bundleSig struct {
 // Build computes the partition of a snapshot. Degree-1 compute nodes are
 // grouped by (anchor, node signature, access-link signature, access
 // available bandwidth); groups of at least two become bundles, everything
-// else stays in the backbone. The backbone route table is built eagerly so
-// a cached partition is immediately servable.
+// else stays in the backbone.
 func Build(s *topology.Snapshot) *Partition {
 	g := s.Graph
 	n := g.NumNodes()
-	p := &Partition{
-		g:        g,
-		bundleOf: make([]int, n),
-		accessOf: make([]int, n),
-		anchorOf: make([]int, n),
-		bidx:     make([]int, n),
-	}
-	for i := 0; i < n; i++ {
-		p.bundleOf[i] = -1
-		p.accessOf[i] = -1
-		p.anchorOf[i] = i
-		p.bidx[i] = -1
-	}
+	p := &Partition{g: g, bidx: make([]int, n)}
 
 	groups := make(map[bundleSig][]int)
 	for _, id := range g.ComputeNodes() {
@@ -165,21 +143,16 @@ func Build(s *topology.Snapshot) *Partition {
 	// numbering: order bundles by their smallest member.
 	sort.Slice(p.bundles, func(i, j int) bool { return p.bundles[i].MinID < p.bundles[j].MinID })
 	for j := range p.bundles {
-		b := &p.bundles[j]
-		for i, id := range b.Members {
-			p.bundleOf[id] = j
-			p.accessOf[id] = b.Links[i]
-			p.anchorOf[id] = b.Anchor
+		for _, id := range p.bundles[j].Members {
+			p.bidx[id] = -1
 		}
 	}
-
 	for id := 0; id < n; id++ {
-		if p.bundleOf[id] < 0 {
+		if p.bidx[id] >= 0 {
 			p.bidx[id] = len(p.backboneIDs)
 			p.backboneIDs = append(p.backboneIDs, id)
 		}
 	}
-	p.routes = buildBackboneRoutes(g, p.backboneIDs, p.bidx)
 	return p
 }
 

@@ -92,8 +92,8 @@ func TestPartitionStructure(t *testing.T) {
 	// The split leaf, the lone leaf, the multi-homed node and the
 	// isolated pair all stay in the backbone.
 	for _, name := range []string{"split", "lone", "multi", "pair1", "pair2"} {
-		if p.bundleOf[ids[name]] != -1 {
-			t.Fatalf("%s collapsed into bundle %d, want backbone", name, p.bundleOf[ids[name]])
+		if p.bidx[ids[name]] < 0 {
+			t.Fatalf("%s collapsed into a bundle, want backbone", name)
 		}
 	}
 }
@@ -129,25 +129,54 @@ func TestPartitionDeterminism(t *testing.T) {
 	}
 }
 
-// TestRouteDecomposition checks walkPair against the full static route
-// table on every node pair: identical link sequences, hence identical
-// bottlenecks, fractions and latencies for any scored set.
+// TestRouteDecomposition checks the decomposition the quotient path's
+// exactness rests on, for every leaf (bundled or not) and every node pair:
+// the graph's static route is the source's access link, the route between
+// the two anchors, and the destination's access link — identical link
+// sequences, hence identical bottlenecks, fractions and latencies for any
+// scored set. (topology's all-pairs oracle test checks the routes
+// themselves.)
 func TestRouteDecomposition(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		src := randx.New(seed)
 		s := clusteredSnapshot(src, 4+src.Intn(6), 2+src.Intn(5), 6)
-		p := Build(s)
 		g := s.Graph
 		n := g.NumNodes()
+		// anchorOf returns a leaf's attachment node and access link, or
+		// the node itself and -1.
+		anchorOf := func(v int) (int, int) {
+			if g.Degree(v) != 1 {
+				return v, -1
+			}
+			lid := g.Incident(v)[0]
+			if a := g.Link(lid).Other(v); g.Degree(a) > 1 {
+				return a, lid
+			}
+			return v, -1
+		}
+		for _, b := range Build(s).Bundles() {
+			for i, id := range b.Members {
+				if a, l := anchorOf(id); a != b.Anchor || l != b.Links[i] {
+					t.Fatalf("seed %d: member %d: anchor/access %d/%d, bundle says %d/%d", seed, id, a, l, b.Anchor, b.Links[i])
+				}
+			}
+		}
 		for a := 0; a < n; a++ {
 			for b := 0; b < n; b++ {
 				if a == b {
 					continue
 				}
-				var full, dec []int
-				g.WalkRoute(a, b, func(l int) { full = append(full, l) })
-				p.walkPair(a, b, func(l int) { dec = append(dec, l) })
-				if !reflect.DeepEqual(full, dec) {
+				aa, la := anchorOf(a)
+				ab, lb := anchorOf(b)
+				var dec []int
+				if la >= 0 {
+					dec = append(dec, la)
+				}
+				dec = append(dec, g.Route(aa, ab)...)
+				if lb >= 0 {
+					dec = append(dec, lb)
+				}
+				if full := g.Route(a, b); !reflect.DeepEqual(full, dec) {
 					t.Fatalf("seed %d: route %d->%d: full %v decomposed %v", seed, a, b, full, dec)
 				}
 			}

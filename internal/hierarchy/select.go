@@ -3,8 +3,8 @@ package hierarchy
 import (
 	"context"
 	"fmt"
-	"math"
-	"sort"
+	"slices"
+	"sync"
 
 	"nodeselect/internal/core"
 	"nodeselect/internal/randx"
@@ -40,7 +40,9 @@ func Select(algo string, s *topology.Snapshot, p *Partition, req core.Request, s
 		res, err := core.SelectOpt(algo, s, req, src, opts)
 		return res, PathFallback, err
 	}
-	res, err := quotientSelect(s, p, req, algo == core.AlgoBalanced)
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	res, err := sc.quotientSelect(s, p, req, algo == core.AlgoBalanced)
 	return res, PathQuotient, err
 }
 
@@ -96,13 +98,28 @@ type qedge struct {
 	a, b   int // dense quotient vertex indices
 }
 
+// qvertex is one quotient vertex's union-find cell together with the
+// component aggregates the sweep needs, which are valid at roots.
+type qvertex struct {
+	parent, size int
+	// minID is the smallest node ID over every collapsed and backbone
+	// node of the component; eligCnt counts its eligible compute nodes.
+	minID, eligCnt int
+	// top is the component's best ≤ m eligible nodes in rank order. It
+	// aliases a bundle's member list or a backboneIDs slot until the
+	// vertex wins a union; from then on it lives in own, a buffer of
+	// capacity ≥ m the root keeps across further merges.
+	top, own []int
+	// cur is the index in recs of the record describing the root's
+	// current component state, or -1; dirtyTier is the last tier whose
+	// merges touched it.
+	cur, dirtyTier int
+}
+
 // hrec is one recorded component of the quotient sweep's laminar family,
-// mirroring the flat path's sweepComp.
+// mirroring the flat path's sweepComp; eval indexes the scratch's evals.
 type hrec struct {
-	birth, death int
-	minID        int
-	score        float64
-	res          core.Result
+	birth, minID, eval int
 }
 
 // setEval memoizes the pure node-set evaluation, as the flat path does:
@@ -114,18 +131,69 @@ type setEval struct {
 	keep  bool
 }
 
+// scratch is one quotient sweep's working set. It is pooled, so a warmed
+// select allocates little beyond the core.Results it scores and their memo
+// keys; nothing in it outlives a request except capacity, and every field
+// is re-initialised by the next one.
+type scratch struct {
+	verts []qvertex
+	// free holds released own-buffers, each of capacity bufCap.
+	free   [][]int
+	bufCap int
+
+	eligBuf []int // backing store for the bundles' filtered member lists
+	edges   []qedge
+	tiers   [][]qedge // equal-metric runs of edges, ascending
+	recs    []hrec
+	evals   []setEval
+	memo    map[string]int // node-set key -> index into evals
+	dirty   []int
+	merged  []int  // mergeTop's output before it is copied to its owner
+	nodes   []int  // a candidate set, sorted by ID
+	key     []byte // its memo key
+}
+
+var scratchPool = sync.Pool{New: func() any { return &scratch{memo: make(map[string]int)} }}
+
+// reset returns every owned top buffer to the free list and drops the
+// references into the finished request's partition and results.
+func (sc *scratch) reset() {
+	for i := range sc.verts {
+		if buf := sc.verts[i].own; buf != nil {
+			sc.free = append(sc.free, buf)
+		}
+	}
+	clear(sc.verts)
+	clear(sc.evals)
+	clear(sc.memo)
+}
+
+// topBuf hands out an empty buffer of capacity ≥ m for a root's top list.
+func (sc *scratch) topBuf(m int) []int {
+	if m > sc.bufCap {
+		sc.free, sc.bufCap = sc.free[:0], m // smaller buffers are of no use any more
+	}
+	if n := len(sc.free); n > 0 {
+		buf := sc.free[n-1]
+		sc.free = sc.free[:n-1]
+		return buf[:0]
+	}
+	return make([]int, 0, sc.bufCap)
+}
+
 // quotientSelect is the collapsed form of core's fastSweepSelect. The
 // quotient graph has one vertex per backbone node and one per bundle; a
 // bundle's activation edge joins it to its anchor at the uniform metric of
 // its access links. Because every access link of a bundle shares one
 // metric value, the quotient tier value sequence equals the flat one, and
 // with M ≥ 2 the flat sweep's sub-activation fragments (isolated members)
-// can never record — so the recorded component family, with births,
-// deaths, min IDs, candidate sets (merged per-cluster rank prefixes) and
-// scores (decomposed routes), matches the flat path's exactly.
-func quotientSelect(s *topology.Snapshot, p *Partition, req core.Request, balanced bool) (core.Result, error) {
+// can never record — so the recorded component family, with births, min
+// IDs, candidate sets (merged per-cluster rank prefixes) and scores
+// (core.Score over the graph's routes), matches the flat path's exactly.
+func (sc *scratch) quotientSelect(s *topology.Snapshot, p *Partition, req core.Request, balanced bool) (core.Result, error) {
 	g := s.Graph
 	m := req.M
+	defer sc.reset()
 
 	// Per-request eligibility, mirroring core's request validation for
 	// the gated class (no pins reach this path).
@@ -143,32 +211,40 @@ func quotientSelect(s *topology.Snapshot, p *Partition, req core.Request, balanc
 	}
 	unconstrained := req.Eligible == nil && req.MinCPU <= 0 && req.MinMemoryMB <= 0
 
-	// eligMembers[j] is bundle j's eligible members in rank order — the
-	// cluster's slice of the global topCPUNodes order.
-	eligMembers := make([][]int, len(p.bundles))
-	eligTotal := 0
-	for j := range p.bundles {
-		b := &p.bundles[j]
-		if unconstrained {
-			eligMembers[j] = b.Members
-		} else {
-			kept := b.Members[:0:0]
-			for _, id := range b.Members {
-				if eligNode(id) {
-					kept = append(kept, id)
-				}
-			}
-			eligMembers[j] = kept
-		}
-		eligTotal += len(eligMembers[j])
-	}
+	// Quotient vertices: backbone nodes first, then bundles.
 	nb := len(p.backboneIDs)
-	eligBackbone := make([]bool, nb)
+	nv := nb + len(p.bundles)
+	sc.verts = slices.Grow(sc.verts[:0], nv)[:nv]
+	if !unconstrained {
+		sc.eligBuf = slices.Grow(sc.eligBuf[:0], p.CollapsedNodes()) // never regrown below: top lists alias it
+	}
+	verts := sc.verts
+	eligTotal := 0
 	for i, id := range p.backboneIDs {
+		v := qvertex{parent: i, size: 1, minID: id, cur: -1, dirtyTier: -1}
 		if g.Node(id).Kind == topology.Compute && eligNode(id) {
-			eligBackbone[i] = true
+			v.eligCnt, v.top = 1, p.backboneIDs[i:i+1:i+1]
 			eligTotal++
 		}
+		verts[i] = v
+	}
+	for j := range p.bundles {
+		b := &p.bundles[j]
+		// em is the bundle's eligible members in rank order — the
+		// cluster's slice of the global topCPUNodes order.
+		em := b.Members
+		if !unconstrained {
+			start := len(sc.eligBuf)
+			for _, id := range b.Members {
+				if eligNode(id) {
+					sc.eligBuf = append(sc.eligBuf, id)
+				}
+			}
+			em = sc.eligBuf[start:len(sc.eligBuf):len(sc.eligBuf)]
+		}
+		eligTotal += len(em)
+		verts[nb+j] = qvertex{parent: nb + j, size: len(b.Members), minID: b.MinID,
+			eligCnt: len(em), top: em[:min(len(em), m)], cur: -1, dirtyTier: -1}
 	}
 	if eligTotal < m {
 		return core.Result{}, fmt.Errorf("%w: %d eligible, %d required", core.ErrTooFewNodes, eligTotal, m)
@@ -176,7 +252,7 @@ func quotientSelect(s *topology.Snapshot, p *Partition, req core.Request, balanc
 
 	metricOf := func(l int) float64 {
 		if balanced {
-			return linkFactor(s, l, req)
+			return core.LinkFactor(s, l, req)
 		}
 		return s.AvailBW[l]
 	}
@@ -186,7 +262,7 @@ func quotientSelect(s *topology.Snapshot, p *Partition, req core.Request, balanc
 	// bundle with a usable interior. A bundle with an unusable interior
 	// never activates — exactly as its members stay isolated singletons
 	// in the flat sweep.
-	var edges []qedge
+	edges := sc.edges[:0]
 	for l := 0; l < g.NumLinks(); l++ {
 		lk := g.Link(l)
 		ai, bi := p.bidx[lk.A], p.bidx[lk.B]
@@ -205,8 +281,16 @@ func quotientSelect(s *topology.Snapshot, p *Partition, req core.Request, balanc
 	}
 	// Ascending metric; ties keep insertion order (irrelevant to the
 	// outcome — records happen only at tier boundaries — but stable).
-	sort.SliceStable(edges, func(i, j int) bool { return edges[i].metric < edges[j].metric })
-	var tiers [][]qedge
+	slices.SortStableFunc(edges, func(x, y qedge) int {
+		switch {
+		case x.metric < y.metric:
+			return -1
+		case x.metric > y.metric:
+			return 1
+		}
+		return 0
+	})
+	tiers := sc.tiers[:0]
 	for i := 0; i < len(edges); {
 		j := i
 		for j < len(edges) && edges[j].metric == edges[i].metric {
@@ -215,43 +299,12 @@ func quotientSelect(s *topology.Snapshot, p *Partition, req core.Request, balanc
 		tiers = append(tiers, edges[i:j])
 		i = j
 	}
-	k := len(tiers)
+	sc.edges, sc.tiers = edges, tiers
 
-	// Union-find over quotient vertices with the component aggregates the
-	// sweep needs: eligible count, min member ID (over every collapsed
-	// and backbone node), and the top-m eligible members in rank order.
-	nv := nb + len(p.bundles)
-	parent := make([]int, nv)
-	size := make([]int, nv)
-	minID := make([]int, nv)
-	eligCnt := make([]int, nv)
-	top := make([][]int, nv)
-	for i := 0; i < nv; i++ {
-		parent[i] = i
-		if i < nb {
-			id := p.backboneIDs[i]
-			size[i] = 1
-			minID[i] = id
-			if eligBackbone[i] {
-				eligCnt[i] = 1
-				top[i] = []int{id}
-			}
-		} else {
-			b := &p.bundles[i-nb]
-			size[i] = len(b.Members)
-			minID[i] = b.MinID
-			em := eligMembers[i-nb]
-			eligCnt[i] = len(em)
-			if len(em) > m {
-				em = em[:m]
-			}
-			top[i] = em
-		}
-	}
 	find := func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
+		for verts[x].parent != x {
+			verts[x].parent = verts[verts[x].parent].parent
+			x = verts[x].parent
 		}
 		return x
 	}
@@ -262,29 +315,22 @@ func quotientSelect(s *topology.Snapshot, p *Partition, req core.Request, balanc
 		}
 		return a < b
 	}
+	// mergeTop merges two rank-ordered lists into sc.merged, keeping the
+	// best m.
 	mergeTop := func(x, y []int) []int {
-		want := len(x) + len(y)
-		if want > m {
-			want = m
-		}
-		out := make([]int, 0, want)
+		out := sc.merged[:0]
+		want := min(len(x)+len(y), m)
 		i, j := 0, 0
 		for len(out) < want {
-			switch {
-			case i == len(x):
-				out = append(out, y[j])
-				j++
-			case j == len(y):
+			if j == len(y) || (i < len(x) && better(x[i], y[j])) {
 				out = append(out, x[i])
 				i++
-			case better(x[i], y[j]):
-				out = append(out, x[i])
-				i++
-			default:
+			} else {
 				out = append(out, y[j])
 				j++
 			}
 		}
+		sc.merged = out
 		return out
 	}
 	union := func(a, b int) (winner, loser int) {
@@ -292,76 +338,81 @@ func quotientSelect(s *topology.Snapshot, p *Partition, req core.Request, balanc
 		if ra == rb {
 			return ra, -1
 		}
-		if size[ra] < size[rb] {
-			ra, rb = rb, ra
+		w, l := &verts[ra], &verts[rb]
+		if w.size < l.size {
+			ra, rb, w, l = rb, ra, l, w
 		}
-		parent[rb] = ra
-		size[ra] += size[rb]
-		if minID[rb] < minID[ra] {
-			minID[ra] = minID[rb]
+		l.parent = ra
+		w.size += l.size
+		w.minID = min(w.minID, l.minID)
+		w.eligCnt += l.eligCnt
+		// The merged list goes into a buffer the winner owns: its own, or
+		// else the loser's, or else a fresh one.
+		merged := mergeTop(w.top, l.top)
+		switch {
+		case w.own == nil && l.own != nil:
+			w.own, l.own = l.own, nil
+		case w.own == nil:
+			w.own = sc.topBuf(m)
 		}
-		eligCnt[ra] += eligCnt[rb]
-		top[ra] = mergeTop(top[ra], top[rb])
-		top[rb] = nil
+		w.top = append(w.own[:0], merged...)
+		l.top = nil
 		return ra, rb
 	}
 
-	var recs []hrec
-	cur := make([]int, nv)
-	for i := range cur {
-		cur[i] = -1
-	}
-	memo := make(map[string]setEval)
-	evaluate := func(root, death int) {
-		if eligCnt[root] < m {
+	recs, evals := sc.recs[:0], sc.evals[:0]
+	evaluate := func(root int) {
+		v := &verts[root]
+		if v.eligCnt < m {
 			return // the flat path's pools all come up short too
 		}
-		nodes := append([]int(nil), top[root]...)
-		sort.Ints(nodes)
-		key := nodeSetKey(nodes)
-		e, ok := memo[key]
+		sc.nodes = append(sc.nodes[:0], v.top...)
+		slices.Sort(sc.nodes)
+		sc.key = core.AppendNodeSetKey(sc.key[:0], sc.nodes)
+		ei, ok := sc.memo[string(sc.key)] // no allocation: the key is materialised only on insert
 		if !ok {
-			res := p.score(s, nodes, req)
-			if req.MinBW > 0 && res.PairMinBW < req.MinBW {
-				e = setEval{}
-			} else if balanced {
-				e = setEval{res: res, score: math.Min(res.MinCPU, priorityOf(req)*res.MinBWFactor), keep: true}
-			} else {
-				e = setEval{res: res, score: res.PairMinBW, keep: true}
+			e := setEval{res: core.Score(s, sc.nodes, req)}
+			if req.MinBW <= 0 || e.res.PairMinBW >= req.MinBW {
+				e.keep, e.score = true, e.res.PairMinBW
+				if balanced {
+					e.score = e.res.MinResource
+				}
 			}
-			memo[key] = e
+			ei = len(evals)
+			evals = append(evals, e)
+			sc.memo[string(sc.key)] = ei
 		}
-		if !e.keep {
+		if !evals[ei].keep {
 			return
 		}
-		recs = append(recs, hrec{death: death, minID: minID[root], score: e.score, res: e.res})
-		cur[root] = len(recs) - 1
+		recs = append(recs, hrec{minID: v.minID, eval: ei})
+		v.cur = len(recs) - 1
 	}
 
-	// Round k (every quotient vertex isolated) is skipped deliberately:
-	// in the flat sweep round k holds only singleton nodes, which with
-	// M ≥ 2 can never record — and a not-yet-activated bundle vertex is
-	// not a flat component at all, so it must not be evaluated early.
-	dirtyMark := make([]int, nv)
-	for i := range dirtyMark {
-		dirtyMark[i] = -1
-	}
-	var dirty []int
-	for t := k; t >= 1; t-- {
+	// Add tiers back in descending metric order; after absorbing tier t
+	// the forest matches flat round t-1. Round k (every quotient vertex
+	// isolated) is skipped deliberately: in the flat sweep round k holds
+	// only singleton nodes, which with M ≥ 2 can never record — and a
+	// not-yet-activated bundle vertex is not a flat component at all, so
+	// it must not be evaluated early.
+	dirty := sc.dirty[:0]
+	for t := len(tiers); t >= 1; t-- {
 		dirty = dirty[:0]
 		for _, e := range tiers[t-1] {
 			winner, loser := union(e.a, e.b)
 			if loser < 0 {
 				continue // cycle edge: component unchanged
 			}
+			// Both pre-merge states die entering round t-1; they were
+			// last alive at round t.
 			for _, r := range [2]int{winner, loser} {
-				if cur[r] >= 0 {
-					recs[cur[r]].birth = t
-					cur[r] = -1
+				if c := verts[r].cur; c >= 0 {
+					recs[c].birth = t
+					verts[r].cur = -1
 				}
 			}
-			if dirtyMark[winner] != t {
-				dirtyMark[winner] = t
+			if verts[winner].dirtyTier != t {
+				verts[winner].dirtyTier = t
 				dirty = append(dirty, winner)
 			}
 		}
@@ -369,21 +420,23 @@ func quotientSelect(s *topology.Snapshot, p *Partition, req core.Request, balanc
 			if find(r) != r {
 				continue // absorbed by a later merge within the same tier
 			}
-			evaluate(r, t-1)
+			evaluate(r)
 		}
 	}
+	sc.recs, sc.evals, sc.dirty = recs, evals, dirty
 
+	// The winner: maximum score, earliest birth round, smallest component
+	// min node ID — the flat path's order.
 	best := -1
 	for i := range recs {
-		r := &recs[i]
 		if best < 0 {
 			best = i
 			continue
 		}
-		b := &recs[best]
-		if r.score > b.score ||
-			(r.score == b.score && (r.birth < b.birth ||
-				(r.birth == b.birth && r.minID < b.minID))) {
+		r, b := &recs[i], &recs[best]
+		rs, bs := evals[r.eval].score, evals[b.eval].score
+		if rs > bs || (rs == bs && (r.birth < b.birth ||
+			(r.birth == b.birth && r.minID < b.minID))) {
 			best = i
 		}
 	}
@@ -391,20 +444,5 @@ func quotientSelect(s *topology.Snapshot, p *Partition, req core.Request, balanc
 		return core.Result{}, fmt.Errorf("%w: no component provides %d connected eligible compute nodes",
 			core.ErrNoFeasibleSet, req.M)
 	}
-	return recs[best].res, nil
-}
-
-// nodeSetKey encodes a sorted node-ID set as a compact self-delimiting
-// string, the same memo key shape the flat path uses.
-func nodeSetKey(nodes []int) string {
-	b := make([]byte, 0, len(nodes)*2+4)
-	for _, id := range nodes {
-		v := uint(id)
-		for v >= 0x80 {
-			b = append(b, byte(v)|0x80)
-			v >>= 7
-		}
-		b = append(b, byte(v))
-	}
-	return string(b)
+	return evals[recs[best].eval].res, nil
 }

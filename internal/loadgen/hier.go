@@ -53,10 +53,9 @@ type HierEquivalence struct {
 	QualityRatio float64 `json:"quality_ratio"`
 }
 
-// HierScale is one ungated showcase row: how the quotient path behaves at
-// a scale outside the gated comparison (the 1k fat-tree, where collapse
-// buys little, and the 50k two-tier, where the flat path's all-pairs
-// route table is no longer worth materializing).
+// HierScale is one ungated showcase row: how the two paths compare at a
+// scale outside the gated comparison (the 1k fat-tree, where collapse buys
+// less, and the 50k two-tier).
 type HierScale struct {
 	Topology string `json:"topology"`
 	Nodes    int    `json:"nodes"`
@@ -65,10 +64,9 @@ type HierScale struct {
 	CollapsedNodes int `json:"collapsed_nodes"`
 	// PartitionBuildMs is the one-time per-epoch partition cost.
 	PartitionBuildMs float64 `json:"partition_build_ms"`
-	// FlatMeanMs is zero when the flat arm was not run at this scale.
-	FlatMeanMs float64 `json:"flat_mean_ms,omitempty"`
-	HierMeanMs float64 `json:"hier_mean_ms"`
-	// Speedup is FlatMeanMs/HierMeanMs, zero when flat was not run.
+	FlatMeanMs       float64 `json:"flat_mean_ms,omitempty"`
+	HierMeanMs       float64 `json:"hier_mean_ms"`
+	// Speedup is FlatMeanMs/HierMeanMs.
 	Speedup float64 `json:"speedup,omitempty"`
 }
 

@@ -15,6 +15,8 @@ package topology
 import (
 	"fmt"
 	"sort"
+	"sync"
+	"sync/atomic"
 )
 
 // NodeKind distinguishes processors from network devices.
@@ -93,15 +95,20 @@ func (l *Link) Other(node int) int {
 
 // Graph is a logical network topology. Build one with NewGraph and the
 // AddComputeNode/AddNetworkNode/Connect methods; the structure is immutable
-// once routing has been computed.
+// once routing has been computed. A Graph must not be copied, and must not
+// be mutated while another goroutine reads it; concurrent readers are safe,
+// including their first route query.
 type Graph struct {
 	nodes  []Node
 	links  []Link
 	byName map[string]int
 	// adj[n] lists the link IDs incident to node n, sorted ascending for
 	// deterministic traversal.
-	adj    [][]int
-	routes *routeTable // lazily built by Routes()
+	adj [][]int
+	// routes is built lazily by Routes() under routesMu and dropped by
+	// every mutation.
+	routes   atomic.Pointer[routeTable]
+	routesMu sync.Mutex
 }
 
 // NewGraph returns an empty graph.
@@ -186,7 +193,7 @@ func (g *Graph) addNode(name string, kind NodeKind, speed float64, arch string) 
 	g.nodes = append(g.nodes, Node{ID: id, Name: name, Kind: kind, Speed: speed, Arch: arch})
 	g.byName[name] = id
 	g.adj = append(g.adj, nil)
-	g.routes = nil
+	g.routes.Store(nil)
 	return id
 }
 
@@ -246,7 +253,7 @@ func (g *Graph) Connect(a, b int, capacity float64, opts LinkOpts) int {
 	})
 	g.adj[a] = append(g.adj[a], id)
 	g.adj[b] = append(g.adj[b], id)
-	g.routes = nil
+	g.routes.Store(nil)
 	return id
 }
 

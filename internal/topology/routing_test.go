@@ -202,7 +202,7 @@ func BenchmarkRouteTableBuild(b *testing.B) {
 	g := randomTree(src, 200)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.routes = nil
+		g.routes.Store(nil)
 		g.Routes()
 	}
 }
