@@ -4,9 +4,9 @@
 GO ?= go
 FUZZTIME ?= 2s
 
-.PHONY: check vet build test race bench benchdiff fmt fuzz chaos slo ha gossip admit hier perf
+.PHONY: check vet build test race bench benchmod fmt fuzz chaos slo ha gossip admit hier perf
 
-check: vet build race fuzz
+check: vet build race fuzz benchmod
 
 vet:
 	$(GO) vet ./...
@@ -58,17 +58,12 @@ gossip:
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x .
 
-# Old-vs-new selection sweep comparison: the refsweep build tag forces the
-# paper-literal reference sweep under the same benchmark names, so the two
-# runs differ only in the algorithm. Five counts each, then cmd/benchdiff
-# reports mean ± CI95, speedup, and a Welch t-test p-value (exit 1 on a
-# statistically significant regression).
-BENCHDIFF_PATTERN ?= BenchmarkFig2MaxBandwidth|BenchmarkFig3Balanced
-BENCHDIFF_COUNT ?= 5
-benchdiff:
-	$(GO) test -tags refsweep -run '^$$' -bench '$(BENCHDIFF_PATTERN)' -count $(BENCHDIFF_COUNT) . > /tmp/benchdiff-old.txt
-	$(GO) test -run '^$$' -bench '$(BENCHDIFF_PATTERN)' -count $(BENCHDIFF_COUNT) . > /tmp/benchdiff-new.txt
-	$(GO) run ./cmd/benchdiff /tmp/benchdiff-old.txt /tmp/benchdiff-new.txt
+# bench/ is a module of its own, so `./...` above never sees it: vet it and
+# run its self-tests (~12 s offline, including a smoke run of the real
+# daemons) so a change that breaks the benchmark fails here, not in the
+# pipeline that runs it.
+benchmod:
+	(cd bench && $(GO) vet ./... && $(GO) test ./...)
 
 # Sustained-load SLO harness: hammers an in-process selectd with /select,
 # writes the machine-readable latency/error report to slo.json, then gates
@@ -95,19 +90,19 @@ admit:
 	$(GO) run ./cmd/expt -run admit -admit-out admit.json
 	$(GO) run ./cmd/benchdiff -admit admit.json -min-speedup $(ADMIT_MIN_SPEEDUP) -max-p99-ratio $(ADMIT_MAX_P99_RATIO) -admit-alpha $(ADMIT_ALPHA)
 
-# Hierarchical selection gate: the exact-equivalence test wall under the
-# race detector first (the quotient sweep's correctness contract), then
-# the flat-vs-hierarchical select-latency A/B at 10k nodes plus the
-# randomized equivalence/quality suite — written to hier.json and
-# re-gated by cmd/benchdiff from the raw per-rep latency samples.
-HIER_MIN_SPEEDUP ?= 10
-HIER_ALPHA ?= 0.005
+# Grouped selection gate: the exact-equivalence test walls under the race
+# detector (the one sweep against its literal oracle, ungrouped and
+# grouped; hierarchy's hand-off; the service wiring), then the 24-topology
+# randomized grouped-vs-ungrouped suite, written to hier.json and re-gated
+# by cmd/benchdiff. What grouping buys in time is `make perf`'s
+# tiered10k_hier workload to say.
 HIER_MIN_QUALITY ?= 0.95
 hier:
+	$(GO) test -race ./internal/core -run='Equivalence|ScratchReuse' -v
 	$(GO) test -race ./internal/hierarchy -v
 	$(GO) test -race ./internal/selectsvc -run='Hierarchy' -v
 	$(GO) run ./cmd/expt -run hier -hier-out hier.json
-	$(GO) run ./cmd/benchdiff -hier hier.json -hier-min-speedup $(HIER_MIN_SPEEDUP) -hier-alpha $(HIER_ALPHA) -min-quality $(HIER_MIN_QUALITY)
+	$(GO) run ./cmd/benchdiff -hier hier.json -min-quality $(HIER_MIN_QUALITY)
 
 # The end-to-end benchmark BENCHMARK.json declares: a real selectd (and,
 # for fig4_advisory, a remosd fleet) behind sockets under open-loop load,

@@ -1,20 +1,9 @@
-// Command benchdiff compares two `go test -bench` output files the way
-// benchstat does — per-benchmark mean ± 95% CI, speedup, and a Welch
-// two-sample t-test p-value — using only the repository's own statistics
-// package (no external tooling). `make benchdiff` feeds it the Figure 2/3
-// selection benchmarks built with and without the refsweep tag, making the
-// old-vs-new comparison a one-command check:
+// Command benchdiff gates the JSON reports the load harnesses write, using
+// only the repository's own statistics package (no external tooling).
 //
-//	go test -tags refsweep -bench 'Fig2|Fig3' -count 5 . > /tmp/old.txt
-//	go test               -bench 'Fig2|Fig3' -count 5 . > /tmp/new.txt
-//	go run ./cmd/benchdiff /tmp/old.txt /tmp/new.txt
-//
-// Exit status is 1 when any benchmark regressed significantly (new slower
-// than old with p < 0.05), so the target can gate CI.
-//
-// With -slo the command instead gates a loadgen SLO report (the slo.json
-// that `make slo` writes) against absolute budgets and, optionally, a
-// baseline report from an earlier run:
+// With -slo the command gates a loadgen SLO report (the slo.json that
+// `make slo` writes) against absolute budgets and, optionally, a baseline
+// report from an earlier run:
 //
 //	benchdiff -slo slo.json -p99-budget-ms 5 -error-budget 0.001
 //	benchdiff -slo slo.json -slo-baseline old-slo.json -p99-tolerance 1.25
@@ -30,67 +19,25 @@
 //
 //	benchdiff -admit admit.json -min-speedup 3 -max-p99-ratio 2 -admit-alpha 0.005
 //
-// With -hier the command gates a hierarchical-selection A/B report (the
-// hier.json that `make hier` writes) the same way: the Welch t-test over
-// the per-rep select-latency samples is recomputed from the raw values and
-// checked against the speedup floor, significance level, equivalence
-// count, and quality floor:
+// With -hier the command gates the grouped-selection equivalence report
+// (the hier.json that `make hier` writes): every comparison exact, quality
+// ratio at or above the floor:
 //
-//	benchdiff -hier hier.json -hier-min-speedup 10 -hier-alpha 0.005 -min-quality 0.95
+//	benchdiff -hier hier.json -min-quality 0.95
 //
-// All Welch gates refuse degenerate inputs — fewer than two samples per
+// The Welch gate refuses degenerate inputs — fewer than two samples per
 // side, or zero variance in both — with exit status 2 rather than letting
 // an unfalsifiable test read as a pass.
 package main
 
 import (
-	"bufio"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
-	"io"
-	"math"
 	"os"
-	"regexp"
-	"sort"
-	"strconv"
 
 	"nodeselect/internal/loadgen"
-	"nodeselect/internal/stats"
 )
-
-// benchLine matches one benchmark result line, e.g.
-// "BenchmarkFig2MaxBandwidth200-8   50   39123456 ns/op   25 B/op ...".
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.]+)\s+ns/op`)
-
-// parse reads a -bench output file into name -> ns/op sample.
-func parse(path string) (map[string]*stats.Sample, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	out := make(map[string]*stats.Sample)
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		m := benchLine.FindStringSubmatch(sc.Text())
-		if m == nil {
-			continue
-		}
-		v, err := strconv.ParseFloat(m[2], 64)
-		if err != nil {
-			continue
-		}
-		s, ok := out[m[1]]
-		if !ok {
-			s = &stats.Sample{}
-			out[m[1]] = s
-		}
-		s.Add(v)
-	}
-	return out, sc.Err()
-}
 
 // readSLO loads one slo.json report.
 func readSLO(path string) (loadgen.SLOReport, error) {
@@ -174,10 +121,9 @@ func admitGate(path string, minSpeedup, maxP99Ratio, alpha float64) int {
 	return 0
 }
 
-// hierGate re-gates a hier.json report against the given thresholds,
-// recomputing the comparison from the raw per-rep latency samples, and
-// returns the process exit code.
-func hierGate(path string, minSpeedup, alpha, minQuality float64) int {
+// hierGate re-gates a hier.json report against the quality floor,
+// recounting the comparisons, and returns the process exit code.
+func hierGate(path string, minQuality float64) int {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchdiff:", err)
@@ -188,15 +134,10 @@ func hierGate(path string, minSpeedup, alpha, minQuality float64) int {
 		fmt.Fprintf(os.Stderr, "benchdiff: %s: %v\n", path, err)
 		return 2
 	}
-	if len(rep.Flat.LatencySamples) < 2 || len(rep.Hier.LatencySamples) < 2 {
-		fmt.Fprintf(os.Stderr, "benchdiff: %s: need at least 2 latency samples per arm for Welch's t-test (flat %d, hier %d)\n",
-			path, len(rep.Flat.LatencySamples), len(rep.Hier.LatencySamples))
-		return 2
-	}
-	gated := loadgen.GateHier(rep.Equivalence, rep.Flat, rep.Hier, rep.Scales, minSpeedup, alpha, minQuality)
-	fmt.Printf("%s: flat %.3fms/select, hier %.4fms/select, speedup %.2fx (welch p %.4g), equivalence %d/%d exact, quality %.4f\n",
-		path, gated.Flat.MeanLatencyMs, gated.Hier.MeanLatencyMs, gated.Speedup, gated.WelchP,
-		gated.Equivalence.Exact, gated.Equivalence.Cases, gated.Equivalence.QualityRatio)
+	gated := loadgen.GateHier(rep.Equivalence, minQuality)
+	fmt.Printf("%s: equivalence %d/%d exact, quotient share %.2f, quality %.4f\n",
+		path, gated.Equivalence.Exact, gated.Equivalence.Cases,
+		gated.Equivalence.QuotientShare, gated.Equivalence.QualityRatio)
 	if !gated.Pass {
 		for _, f := range gated.Failures {
 			fmt.Printf("HIER REGRESSION: %s\n", f)
@@ -207,90 +148,25 @@ func hierGate(path string, minSpeedup, alpha, minQuality float64) int {
 	return 0
 }
 
-// compareBench renders the per-benchmark comparison table to w and reports
-// whether any benchmark regressed significantly (new slower than old with
-// p < 0.05). Degenerate samples — fewer than two measurements on either
-// side, or zero variance in both — make the Welch test unfalsifiable, so
-// they are an error for the caller to exit 2 on, never a verdict.
-func compareBench(old, new_ map[string]*stats.Sample, w io.Writer) (regressed bool, err error) {
-	var names []string
-	for name := range old {
-		if _, ok := new_[name]; ok {
-			names = append(names, name)
-		}
-	}
-	if len(names) == 0 {
-		return false, errors.New("no common benchmarks between the two files")
-	}
-	sort.Strings(names)
-
-	fmt.Fprintf(w, "%-40s %16s %16s %9s %9s\n", "benchmark", "old (mean±CI95)", "new (mean±CI95)", "speedup", "p")
-	for _, name := range names {
-		o, n := old[name], new_[name]
-		if o.N() < 2 || n.N() < 2 {
-			return false, fmt.Errorf("%s: need at least 2 samples per side for Welch's t-test (old %d, new %d); rerun with -count >= 2",
-				name, o.N(), n.N())
-		}
-		if o.Min() == o.Max() && n.Min() == n.Max() {
-			return false, fmt.Errorf("%s: zero variance in both samples, the t-test is degenerate", name)
-		}
-		tt := stats.WelchT(o, n)
-		if math.IsNaN(tt.P) {
-			return false, fmt.Errorf("%s: Welch p-value is undefined for these samples", name)
-		}
-		speedup := o.Mean() / n.Mean()
-		sig := ""
-		switch {
-		case tt.P >= 0.05:
-			sig = " (not significant)"
-		case speedup < 1:
-			sig = " (REGRESSION)"
-			regressed = true
-		}
-		fmt.Fprintf(w, "%-40s %8s±%-7s %8s±%-7s %8.2fx %9.2g%s\n",
-			name,
-			fmtNs(o.Mean()), fmtNs(o.CI95()),
-			fmtNs(n.Mean()), fmtNs(n.CI95()),
-			speedup, tt.P, sig)
-	}
-	return regressed, nil
-}
-
-// fmtNs renders nanoseconds at a human scale.
-func fmtNs(ns float64) string {
-	switch {
-	case ns >= 1e9:
-		return fmt.Sprintf("%.3gs", ns/1e9)
-	case ns >= 1e6:
-		return fmt.Sprintf("%.4gms", ns/1e6)
-	case ns >= 1e3:
-		return fmt.Sprintf("%.4gµs", ns/1e3)
-	default:
-		return fmt.Sprintf("%.4gns", ns)
-	}
-}
-
 func main() {
 	var (
-		sloFile      = flag.String("slo", "", "gate this slo.json report instead of comparing bench files")
+		sloFile      = flag.String("slo", "", "gate this slo.json report")
 		sloBaseline  = flag.String("slo-baseline", "", "baseline slo.json to compare the -slo report against")
 		p99Budget    = flag.Float64("p99-budget-ms", 0, "with -slo: fail when p99 exceeds this many ms (0 = not enforced)")
 		p999Budget   = flag.Float64("p999-budget-ms", 0, "with -slo: fail when p999 exceeds this many ms (0 = not enforced)")
 		errBudget    = flag.Float64("error-budget", 0, "with -slo: fail when the 5xx error rate exceeds this (0 = not enforced)")
 		p99Tolerance = flag.Float64("p99-tolerance", 1.25, "with -slo-baseline: fail when p99 exceeds baseline p99 times this")
-		admitFile    = flag.String("admit", "", "gate this admit.json A/B report instead of comparing bench files")
+		admitFile    = flag.String("admit", "", "gate this admit.json A/B report")
 		minSpeedup   = flag.Float64("min-speedup", 3.0, "with -admit: fail when batched/serial throughput is below this")
 		maxP99Ratio  = flag.Float64("max-p99-ratio", 2.0, "with -admit: fail when batched p99 exceeds serial p99 times this")
 		admitAlpha   = flag.Float64("admit-alpha", 0.005, "with -admit: Welch t-test significance level for the speedup")
-		hierFile     = flag.String("hier", "", "gate this hier.json A/B report instead of comparing bench files")
-		hierSpeedup  = flag.Float64("hier-min-speedup", 10.0, "with -hier: fail when flat/hier select latency ratio is below this")
-		hierAlpha    = flag.Float64("hier-alpha", 0.005, "with -hier: Welch t-test significance level for the speedup")
-		minQuality   = flag.Float64("min-quality", 0.95, "with -hier: fail when the hier/flat minresource ratio is below this")
+		hierFile     = flag.String("hier", "", "gate this hier.json equivalence report")
+		minQuality   = flag.Float64("min-quality", 0.95, "with -hier: fail when the grouped/ungrouped minresource ratio is below this")
 	)
 	flag.Parse()
 
 	if *hierFile != "" {
-		os.Exit(hierGate(*hierFile, *hierSpeedup, *hierAlpha, *minQuality))
+		os.Exit(hierGate(*hierFile, *minQuality))
 	}
 
 	if *admitFile != "" {
@@ -305,28 +181,6 @@ func main() {
 		}, *p99Tolerance))
 	}
 
-	args := flag.Args()
-	if len(args) != 2 {
-		fmt.Fprintln(os.Stderr, "usage: benchdiff OLD NEW  (two `go test -bench` output files), or benchdiff -slo slo.json")
-		os.Exit(2)
-	}
-	old, err := parse(args[0])
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchdiff:", err)
-		os.Exit(2)
-	}
-	new_, err := parse(args[1])
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchdiff:", err)
-		os.Exit(2)
-	}
-
-	regressed, err := compareBench(old, new_, os.Stdout)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchdiff:", err)
-		os.Exit(2)
-	}
-	if regressed {
-		os.Exit(1)
-	}
+	fmt.Fprintln(os.Stderr, "usage: benchdiff -slo slo.json | -admit admit.json | -hier hier.json  (see -h for the thresholds)")
+	os.Exit(2)
 }

@@ -43,8 +43,6 @@ func main() {
 	flag.IntVar(&admitRequests, "admit-requests", 0, "with -run admit: measured requests per rep (default 1500)")
 	flag.IntVar(&admitReps, "admit-reps", 0, "with -run admit: reps per admission mode (default 5)")
 	flag.StringVar(&hierOut, "hier-out", "", "with -run hier: also write the report JSON to this file")
-	flag.IntVar(&hierSelects, "hier-selects", 0, "with -run hier: timed selects per rep in the 10k A/B (default 6)")
-	flag.IntVar(&hierReps, "hier-reps", 0, "with -run hier: repainted reps per arm (default 5)")
 	flag.Parse()
 
 	cfg := experiment.Default()
@@ -407,28 +405,14 @@ func runAdmit(cfg experiment.Config) error {
 	return nil
 }
 
-// hierOut / hierSelects / hierReps are set from the -hier-* flags before
-// dispatch.
-var (
-	hierOut     string
-	hierSelects int
-	hierReps    int
-)
+// hierOut is set from the -hier-out flag before dispatch.
+var hierOut string
 
-// runHier drives the hierarchical-selection benchmark: the randomized
-// flat-vs-quotient equivalence suite, the gated 10k-node select-latency
-// A/B, and the 1k/50k showcase scales. Exits non-zero when the speedup,
-// significance, or quality gate fails, so the CI hier job gates on it
-// directly. Wall-clock sensitive, so not part of -run all.
+// runHier drives the randomized grouped-vs-ungrouped equivalence suite.
+// Exits non-zero when a comparison diverges, so the CI hier job gates on
+// it directly.
 func runHier(cfg experiment.Config) error {
-	rep, err := experiment.RunHier(experiment.HierOptions{
-		Seed:    cfg.Seed,
-		Selects: hierSelects,
-		Reps:    hierReps,
-	})
-	if err != nil {
-		return err
-	}
+	rep := experiment.RunHier(experiment.HierOptions{Seed: cfg.Seed})
 	fmt.Print(experiment.FormatHier(rep))
 	if hierOut != "" {
 		data, err := json.MarshalIndent(rep, "", "  ")
@@ -441,7 +425,7 @@ func runHier(cfg experiment.Config) error {
 		fmt.Printf("wrote %s\n", hierOut)
 	}
 	if !rep.Pass {
-		return fmt.Errorf("hierarchical selection benchmark failed its gate: %s", strings.Join(rep.Failures, "; "))
+		return fmt.Errorf("grouped selection equivalence suite failed its gate: %s", strings.Join(rep.Failures, "; "))
 	}
 	return nil
 }

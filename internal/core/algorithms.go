@@ -97,12 +97,12 @@ func MaxCompute(s *topology.Snapshot, req Request) (Result, error) {
 // m with the highest CPU, which preserves the guarantee and is a strictly
 // better tie-break.
 func MaxBandwidth(s *topology.Snapshot, req Request) (Result, error) {
-	return sweepSelect(s, req, Options{}, false)
+	return Sweep(s, req, Options{}, false, nil)
 }
 
 // MaxBandwidthOpt is MaxBandwidth with explicit Options.
 func MaxBandwidthOpt(s *topology.Snapshot, req Request, opts Options) (Result, error) {
-	return sweepSelect(s, req, opts, false)
+	return Sweep(s, req, opts, false, nil)
 }
 
 // Balanced implements the paper's Figure 3: select m compute nodes
@@ -112,59 +112,25 @@ func MaxBandwidthOpt(s *topology.Snapshot, req Request, opts Options) (Result, e
 // with at least m eligible compute nodes is scored with its best-CPU m
 // nodes, and the best-scoring set over the whole sweep is returned.
 func Balanced(s *topology.Snapshot, req Request) (Result, error) {
-	return sweepSelect(s, req, Options{}, true)
+	return Sweep(s, req, Options{}, true, nil)
 }
 
 // BalancedOpt is Balanced with explicit Options (e.g. the paper-faithful
 // early-stopping variant).
 func BalancedOpt(s *topology.Snapshot, req Request, opts Options) (Result, error) {
-	return sweepSelect(s, req, opts, true)
-}
-
-// ReferenceMaxBandwidth runs the literal edge-deletion form of Figure 2,
-// bypassing the union-find fast path. It is the oracle the differential
-// tests and the `make benchdiff` baseline compare against.
-func ReferenceMaxBandwidth(s *topology.Snapshot, req Request) (Result, error) {
-	return referenceSweepSelect(s, req, Options{}, false)
-}
-
-// ReferenceMaxBandwidthOpt is ReferenceMaxBandwidth with explicit Options.
-func ReferenceMaxBandwidthOpt(s *topology.Snapshot, req Request, opts Options) (Result, error) {
-	return referenceSweepSelect(s, req, opts, false)
-}
-
-// ReferenceBalanced runs the literal edge-deletion form of Figure 3,
-// bypassing the union-find fast path.
-func ReferenceBalanced(s *topology.Snapshot, req Request) (Result, error) {
-	return referenceSweepSelect(s, req, Options{}, true)
-}
-
-// ReferenceBalancedOpt is ReferenceBalanced with explicit Options.
-func ReferenceBalancedOpt(s *topology.Snapshot, req Request, opts Options) (Result, error) {
-	return referenceSweepSelect(s, req, opts, true)
-}
-
-// sweepSelect dispatches between the union-find fast path and the
-// reference edge-deletion loop. The fast path produces bit-identical
-// results and traces for the default sweep semantics; the paper-literal
-// ablation variants (early stop, single-edge removal) change the
-// enumeration itself and keep the literal implementation.
-func sweepSelect(s *topology.Snapshot, req Request, opts Options, balanced bool) (Result, error) {
-	if forceReferenceSweep || opts.PaperEarlyStop || opts.PaperSingleEdgeRemoval {
-		return referenceSweepSelect(s, req, opts, balanced)
-	}
-	return fastSweepSelect(s, req, opts, balanced)
+	return Sweep(s, req, opts, true, nil)
 }
 
 // poolCandidates enumerates the candidate node sets one component
 // contributes to a sweep round: for every pool of the component's sorted
 // eligible candidates, the top-CPU m nodes, filtered by the latency
-// ceiling and the bandwidth floor, scored with the round objective. Both
-// sweep implementations funnel through this one function so their
+// ceiling and the bandwidth floor, scored with the round objective. The
+// literal loop and, for the shapes whose pools depend on member identity,
+// the union-find sweep both funnel through this one function so their
 // candidate streams — values and order — cannot diverge. A non-nil memo
 // caches the pure pool-set -> (result, score, keep) evaluation across
-// components, which the fast path exploits heavily: consecutive components
-// of the merge hierarchy usually re-select the same top-CPU node set.
+// components: consecutive components of the merge hierarchy usually
+// re-select the same top-CPU node set.
 func poolCandidates(s *topology.Snapshot, cands []int, req Request, pinned map[int]bool,
 	balanced bool, priority float64, memo *poolMemo,
 	yield func(nodes []int, score float64, res Result)) {
@@ -173,19 +139,12 @@ func poolCandidates(s *topology.Snapshot, cands []int, req Request, pinned map[i
 		if nodes == nil {
 			continue
 		}
+		var e poolEval
 		if memo != nil {
-			memo.key = AppendNodeSetKey(memo.key[:0], nodes)
-			e, ok := memo.evals[string(memo.key)] // no allocation: the key is materialised only on insert
-			if !ok {
-				e = evalPool(s, nodes, req, balanced, priority)
-				memo.evals[string(memo.key)] = e
-			}
-			if e.keep {
-				yield(nodes, e.score, e.res)
-			}
-			continue
+			e = memo.evals[memo.eval(s, nodes, req, balanced, priority)]
+		} else {
+			e = evalPool(s, nodes, req, balanced, priority)
 		}
-		e := evalPool(s, nodes, req, balanced, priority)
 		if e.keep {
 			yield(nodes, e.score, e.res)
 		}
@@ -199,11 +158,33 @@ type poolEval struct {
 	keep  bool
 }
 
-// poolMemo maps a node set's AppendNodeSetKey bytes to its evaluation; key
-// is the buffer lookups encode into.
+// poolMemo memoizes evalPool by node set: index maps a set's
+// AppendNodeSetKey bytes to its evaluation in evals; key is the buffer
+// lookups encode into.
 type poolMemo struct {
-	evals map[string]poolEval
+	index map[string]int
+	evals []poolEval
 	key   []byte
+}
+
+// eval returns the index in evals of one sorted node set's evaluation,
+// computing it on the first request.
+func (m *poolMemo) eval(s *topology.Snapshot, nodes []int, req Request, balanced bool, priority float64) int {
+	m.key = AppendNodeSetKey(m.key[:0], nodes)
+	i, ok := m.index[string(m.key)] // no allocation: the key is materialised only on insert
+	if !ok {
+		i = len(m.evals)
+		m.evals = append(m.evals, evalPool(s, nodes, req, balanced, priority))
+		m.index[string(m.key)] = i
+	}
+	return i
+}
+
+// reset forgets every evaluation and drops the references to their Results.
+func (m *poolMemo) reset() {
+	clear(m.index)
+	clear(m.evals)
+	m.evals = m.evals[:0]
 }
 
 // evalPool applies the latency ceiling, scores the set, and applies the

@@ -202,8 +202,8 @@ func chainOrder(s *topology.Snapshot, nodes []int) []int {
 }
 
 // BalancedPattern selects m nodes maximizing the pattern-aware balanced
-// objective. It enumerates candidate sets with the same bottleneck-edge
-// deletion sweep as Balanced, but scores each candidate with ScorePattern,
+// objective. It enumerates components with the same bottleneck sweep as
+// Balanced, but scores each one's candidate with ScorePattern,
 // so, e.g., a master-slave application is not penalized for poor
 // worker-to-worker paths it never uses.
 func BalancedPattern(s *topology.Snapshot, req Request, pattern Pattern) (PatternResult, error) {
@@ -211,77 +211,38 @@ func BalancedPattern(s *topology.Snapshot, req Request, pattern Pattern) (Patter
 		res, err := Balanced(s, req)
 		return PatternResult{Result: res, Master: -1}, err
 	}
-	eligible, err := req.validate(s)
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	defer sc.reset()
+
+	// One pool per component: its best-CPU m members, pinned first. The
+	// floor and the ceiling bind the pattern's pairs only, so they filter
+	// after scoring.
+	pinned := req.pinnedSet()
+	var picks []PatternResult
+	recs, err := sc.enumerate(s, req, nil, true, func(root int) (float64, int, bool) {
+		nodes := topCPUNodes(s, sc.members(root), req.M, pinned)
+		if nodes == nil {
+			return 0, 0, false
+		}
+		res := ScorePattern(s, nodes, req, pattern)
+		if req.MinBW > 0 && res.PairMinBW < req.MinBW {
+			return 0, 0, false
+		}
+		if req.MaxPairLatency > 0 && res.MaxPairLatency > req.MaxPairLatency {
+			return 0, 0, false
+		}
+		picks = append(picks, res)
+		return res.MinResource, len(picks) - 1, true
+	})
 	if err != nil {
 		return PatternResult{}, err
 	}
-	g := s.Graph
-	pinned := req.pinnedSet()
-	isEligible := make(map[int]bool, len(eligible))
-	for _, id := range eligible {
-		isEligible[id] = true
+	best := winner(recs)
+	if best < 0 {
+		return PatternResult{}, errNoComponent(req.M)
 	}
-
-	alive := make([]bool, g.NumLinks())
-	for l := range alive {
-		alive[l] = req.linkUsable(s, l)
-	}
-	aliveFn := func(l int) bool { return alive[l] }
-	order := make([]int, 0, g.NumLinks())
-	for l := 0; l < g.NumLinks(); l++ {
-		if alive[l] {
-			order = append(order, l)
-		}
-	}
-	sort.Slice(order, func(i, j int) bool {
-		fi, fj := LinkFactor(s, order[i], req), LinkFactor(s, order[j], req)
-		if fi != fj {
-			return fi < fj
-		}
-		return order[i] < order[j]
-	})
-
-	var best PatternResult
-	found := false
-	evaluate := func() {
-		for _, comp := range g.Components(aliveFn) {
-			if !containsAll(comp, pinned) {
-				continue
-			}
-			cands := filterNodes(comp, func(id int) bool { return isEligible[id] })
-			nodes := topCPUNodes(s, cands, req.M, pinned)
-			if nodes == nil {
-				continue
-			}
-			res := ScorePattern(s, nodes, req, pattern)
-			if req.MinBW > 0 && res.PairMinBW < req.MinBW {
-				continue
-			}
-			if req.MaxPairLatency > 0 && res.MaxPairLatency > req.MaxPairLatency {
-				continue
-			}
-			if !found || res.MinResource > best.MinResource {
-				best = res
-				found = true
-			}
-		}
-	}
-	evaluate()
-	for i := 0; i < len(order); {
-		v := LinkFactor(s, order[i], req)
-		alive[order[i]] = false
-		i++
-		for i < len(order) && LinkFactor(s, order[i], req) == v {
-			alive[order[i]] = false
-			i++
-		}
-		evaluate()
-	}
-	if !found {
-		return PatternResult{}, fmt.Errorf("%w: no component provides %d connected eligible compute nodes",
-			ErrNoFeasibleSet, req.M)
-	}
-	return best, nil
+	return picks[recs[best].tag], nil
 }
 
 // BruteForcePattern exhaustively maximizes the pattern objective; the

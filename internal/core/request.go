@@ -16,6 +16,15 @@
 //     by the same bottleneck-edge deletion, re-picking the best compute
 //     nodes per surviving component.
 //
+// MaxBandwidth and Balanced are one procedure — delete bottleneck edges in
+// rising order and take the best-CPU m nodes of every surviving component —
+// and run as one union-find sweep (Sweep, sweep.go) that enumerates the same
+// components in one near-linear pass, optionally over pre-merged groups of
+// interchangeable leaves (Grouping; internal/hierarchy builds them). The
+// literal edge-deletion loop stays beside it as the oracle every
+// equivalence test compares against and as what the paper-literal
+// ablations (Options.PaperEarlyStop, PaperSingleEdgeRemoval) run.
+//
 // The generalizations of §3.3 are supported through Request: heterogeneous
 // links (reference capacity) and nodes (relative speeds), prioritization of
 // computation versus communication, fixed bandwidth/CPU floors, restricted
@@ -169,49 +178,67 @@ func finiteOr(v, alt float64) float64 {
 	return v
 }
 
-// validate checks the request against the snapshot and returns the eligible
-// compute node IDs (sorted ascending).
-func (r Request) validate(s *topology.Snapshot) ([]int, error) {
+// check validates the request's form against the snapshot: everything
+// validate reports except a shortage of eligible nodes.
+func (r Request) check(s *topology.Snapshot) error {
 	if r.M < 1 {
-		return nil, fmt.Errorf("%w: M = %d", ErrBadRequest, r.M)
+		return fmt.Errorf("%w: M = %d", ErrBadRequest, r.M)
 	}
 	if s == nil || s.Graph == nil {
-		return nil, fmt.Errorf("%w: nil snapshot", ErrBadRequest)
+		return fmt.Errorf("%w: nil snapshot", ErrBadRequest)
 	}
-	pinned := make(map[int]bool, len(r.Pinned))
 	for _, id := range r.Pinned {
 		if id < 0 || id >= s.Graph.NumNodes() || s.Graph.Node(id).Kind != topology.Compute {
-			return nil, fmt.Errorf("%w: pinned node %d is not a compute node", ErrBadRequest, id)
+			return fmt.Errorf("%w: pinned node %d is not a compute node", ErrBadRequest, id)
 		}
-		pinned[id] = true
 	}
-	if len(pinned) > r.M {
-		return nil, fmt.Errorf("%w: %d pinned nodes exceed M = %d", ErrBadRequest, len(pinned), r.M)
-	}
-	var eligible []int
-	for _, id := range s.Graph.ComputeNodes() {
-		if r.Eligible != nil && !r.Eligible(id) && !pinned[id] {
-			continue
-		}
-		if r.MinCPU > 0 && s.EffectiveCPU(id) < r.MinCPU && !pinned[id] {
-			continue
-		}
-		if r.MinMemoryMB > 0 && s.Graph.Node(id).MemoryMB < r.MinMemoryMB && !pinned[id] {
-			continue
-		}
-		eligible = append(eligible, id)
+	if n := len(r.pinnedSet()); n > r.M {
+		return fmt.Errorf("%w: %d pinned nodes exceed M = %d", ErrBadRequest, n, r.M)
 	}
 	// Pinned nodes must themselves satisfy the floors.
 	for _, id := range r.Pinned {
 		if r.MinCPU > 0 && s.EffectiveCPU(id) < r.MinCPU {
-			return nil, fmt.Errorf("%w: pinned node %d violates the CPU floor", ErrNoFeasibleSet, id)
+			return fmt.Errorf("%w: pinned node %d violates the CPU floor", ErrNoFeasibleSet, id)
 		}
 		if r.MinMemoryMB > 0 && s.Graph.Node(id).MemoryMB < r.MinMemoryMB {
-			return nil, fmt.Errorf("%w: pinned node %d violates the memory floor", ErrNoFeasibleSet, id)
+			return fmt.Errorf("%w: pinned node %d violates the memory floor", ErrNoFeasibleSet, id)
+		}
+	}
+	return nil
+}
+
+// admits reports whether compute node id passes the eligibility restriction
+// and the CPU and memory floors. A pinned node is eligible regardless.
+func (r Request) admits(s *topology.Snapshot, id int) bool {
+	if r.Eligible != nil && !r.Eligible(id) {
+		return false
+	}
+	if r.MinCPU > 0 && s.EffectiveCPU(id) < r.MinCPU {
+		return false
+	}
+	return r.MinMemoryMB <= 0 || s.Graph.Node(id).MemoryMB >= r.MinMemoryMB
+}
+
+// tooFew is the error for a topology with fewer than M eligible nodes.
+func (r Request) tooFew(eligible int) error {
+	return fmt.Errorf("%w: %d eligible, %d required", ErrTooFewNodes, eligible, r.M)
+}
+
+// validate checks the request against the snapshot and returns the eligible
+// compute node IDs (sorted ascending).
+func (r Request) validate(s *topology.Snapshot) ([]int, error) {
+	if err := r.check(s); err != nil {
+		return nil, err
+	}
+	pinned := r.pinnedSet()
+	var eligible []int
+	for _, id := range s.Graph.ComputeNodes() {
+		if pinned[id] || r.admits(s, id) {
+			eligible = append(eligible, id)
 		}
 	}
 	if len(eligible) < r.M {
-		return nil, fmt.Errorf("%w: %d eligible, %d required", ErrTooFewNodes, len(eligible), r.M)
+		return nil, r.tooFew(len(eligible))
 	}
 	return eligible, nil
 }
@@ -221,8 +248,11 @@ func (r Request) linkUsable(s *topology.Snapshot, link int) bool {
 	return r.MinBW <= 0 || s.AvailBW[link] >= r.MinBW
 }
 
-// pinnedSet returns the pinned nodes as a set.
+// pinnedSet returns the pinned nodes as a set, nil when there are none.
 func (r Request) pinnedSet() map[int]bool {
+	if len(r.Pinned) == 0 {
+		return nil
+	}
 	m := make(map[int]bool, len(r.Pinned))
 	for _, id := range r.Pinned {
 		m[id] = true

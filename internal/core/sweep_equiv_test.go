@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"errors"
@@ -6,7 +6,10 @@ import (
 	"reflect"
 	"testing"
 
+	. "nodeselect/internal/core"
+	"nodeselect/internal/hierarchy"
 	"nodeselect/internal/randx"
+	"nodeselect/internal/testbed"
 	"nodeselect/internal/topology"
 )
 
@@ -14,15 +17,15 @@ import (
 // cycles: a random tree over compute nodes and switches, plus extra chords,
 // with heterogeneous node speeds, link capacities, latencies, loads and
 // available bandwidths. The static route table (minimum hop, deterministic
-// tie-break) is what both sweep implementations score against.
+// tie-break) is what the sweep and its oracle both score against.
 func randomCyclicSnapshot(src *randx.Source, n int) *topology.Snapshot {
 	g := topology.NewGraph()
 	for i := 0; i < n; i++ {
 		if src.Intn(4) == 0 {
-			g.AddNetworkNode("s" + nodeName(i))
+			g.AddNetworkNode("s" + NodeName(i))
 		} else {
 			speed := 0.5 + src.Float64()*1.5
-			g.AddComputeNodeSpec(nodeName(i), speed, "")
+			g.AddComputeNodeSpec(NodeName(i), speed, "")
 		}
 	}
 	caps := []float64{10e6, 100e6, 1e9}
@@ -106,50 +109,93 @@ func collectTrace(fn func(Options) (Result, error), base Options) ([]SweepStep, 
 	return steps, res, err
 }
 
-// assertEquivalent runs the fast and reference sweeps on one case and fails
-// the test on any divergence: node sets, every Result field, error class
-// and message, and — on a sampled subset — the full observer trace.
-func assertEquivalent(t *testing.T, s *topology.Snapshot, req Request, balanced bool, withTrace bool, tag string) {
-	t.Helper()
-	fastRes, fastErr := fastSweepSelect(s, req, Options{}, balanced)
-	refRes, refErr := referenceSweepSelect(s, req, Options{}, balanced)
+// ungrouped is the sweep every core entry point runs.
+func ungrouped(s *topology.Snapshot, req Request, opts Options, balanced bool) (Result, error) {
+	return Sweep(s, req, opts, balanced, nil)
+}
 
-	if (fastErr == nil) != (refErr == nil) {
-		t.Fatalf("%s: error divergence: fast=%v ref=%v", tag, fastErr, refErr)
+// groupedArms run the same sweep with a grouping: the trivial one (every
+// node a vertex of its own, reached through the grouping's index) and the
+// one hierarchy.Build derives, through the entry point services use.
+var groupedArms = []struct {
+	name string
+	run  func(*topology.Snapshot, Request, Options, bool) (Result, error)
+}{
+	{"trivial grouping", func(s *topology.Snapshot, req Request, opts Options, balanced bool) (Result, error) {
+		return Sweep(s, req, opts, balanced, NewGrouping(s.Graph, nil))
+	}},
+	{"hierarchy.Build's grouping", func(s *topology.Snapshot, req Request, opts Options, balanced bool) (Result, error) {
+		algo := AlgoBandwidth
+		if balanced {
+			algo = AlgoBalanced
+		}
+		res, _, err := hierarchy.Select(algo, s, hierarchy.Build(s), req, nil, opts)
+		return res, err
+	}},
+}
+
+// assertSame fails the test unless one arm's outcome is the oracle's: node
+// sets, every Result field, error class and message.
+func assertSame(t *testing.T, tag string, res Result, err error, refRes Result, refErr error) {
+	t.Helper()
+	if (err == nil) != (refErr == nil) {
+		t.Fatalf("%s: error divergence: sweep=%v ref=%v", tag, err, refErr)
 	}
-	if fastErr != nil {
+	if err != nil {
 		for _, class := range []error{ErrBadRequest, ErrTooFewNodes, ErrNoFeasibleSet} {
-			if errors.Is(fastErr, class) != errors.Is(refErr, class) {
-				t.Fatalf("%s: error class divergence: fast=%v ref=%v", tag, fastErr, refErr)
+			if errors.Is(err, class) != errors.Is(refErr, class) {
+				t.Fatalf("%s: error class divergence: sweep=%v ref=%v", tag, err, refErr)
 			}
 		}
-		if fastErr.Error() != refErr.Error() {
-			t.Fatalf("%s: error message divergence:\nfast: %v\nref:  %v", tag, fastErr, refErr)
+		if err.Error() != refErr.Error() {
+			t.Fatalf("%s: error message divergence:\nsweep: %v\nref:   %v", tag, err, refErr)
 		}
 		return
 	}
-	if !reflect.DeepEqual(fastRes, refRes) {
-		t.Fatalf("%s: result divergence:\nfast: %+v\nref:  %+v", tag, fastRes, refRes)
+	if !reflect.DeepEqual(res, refRes) {
+		t.Fatalf("%s: result divergence:\nsweep: %+v\nref:   %+v", tag, res, refRes)
 	}
+}
 
-	if !withTrace {
+// assertEquivalent runs the sweep — ungrouped and under every grouping —
+// and the literal edge-deletion loop on one case and fails the test on any
+// divergence: node sets, every Result field, error class and message, and
+// — ungrouped, on a sampled subset — the full observer trace.
+func assertEquivalent(t *testing.T, s *topology.Snapshot, req Request, balanced bool, withTrace bool, tag string) {
+	t.Helper()
+	refRes, refErr := ReferenceSweepSelect(s, req, Options{}, balanced)
+	res, err := ungrouped(s, req, Options{}, balanced)
+	assertSame(t, tag, res, err, refRes, refErr)
+	for _, arm := range groupedArms {
+		gres, gerr := arm.run(s, req, Options{}, balanced)
+		assertSame(t, tag+", "+arm.name, gres, gerr, refRes, refErr)
+	}
+	if err != nil || !withTrace {
 		return
 	}
-	fastSteps, fastRes2, fastErr2 := collectTrace(func(o Options) (Result, error) {
-		return fastSweepSelect(s, req, o, balanced)
+
+	steps, res2, err2 := collectTrace(func(o Options) (Result, error) {
+		return ungrouped(s, req, o, balanced)
 	}, Options{})
 	refSteps, _, _ := collectTrace(func(o Options) (Result, error) {
-		return referenceSweepSelect(s, req, o, balanced)
+		return ReferenceSweepSelect(s, req, o, balanced)
 	}, Options{})
-	if fastErr2 != nil || !reflect.DeepEqual(fastRes2, fastRes) {
-		t.Fatalf("%s: observer changed the fast result: %+v vs %+v (err %v)", tag, fastRes2, fastRes, fastErr2)
+	if err2 != nil || !reflect.DeepEqual(res2, res) {
+		t.Fatalf("%s: observer changed the result: %+v vs %+v (err %v)", tag, res2, res, err2)
 	}
-	if len(fastSteps) != len(refSteps) {
-		t.Fatalf("%s: trace length divergence: fast=%d ref=%d", tag, len(fastSteps), len(refSteps))
+	if len(steps) != len(refSteps) {
+		t.Fatalf("%s: trace length divergence: sweep=%d ref=%d", tag, len(steps), len(refSteps))
 	}
-	for i := range fastSteps {
-		if !reflect.DeepEqual(fastSteps[i], refSteps[i]) {
-			t.Fatalf("%s: trace step %d divergence:\nfast: %+v\nref:  %+v", tag, i, fastSteps[i], refSteps[i])
+	for i := range steps {
+		if !reflect.DeepEqual(steps[i], refSteps[i]) {
+			t.Fatalf("%s: trace step %d divergence:\nsweep: %+v\nref:   %+v", tag, i, steps[i], refSteps[i])
+		}
+	}
+	// A grouping is set aside for a traced request, never half-applied.
+	for _, arm := range groupedArms {
+		gsteps, _, _ := collectTrace(func(o Options) (Result, error) { return arm.run(s, req, o, balanced) }, Options{})
+		if !reflect.DeepEqual(gsteps, refSteps) {
+			t.Fatalf("%s, %s: trace diverges from the reference's", tag, arm.name)
 		}
 	}
 }
@@ -158,8 +204,9 @@ func assertEquivalent(t *testing.T, s *topology.Snapshot, req Request, balanced 
 // sweep: across well over 1000 random tree and cyclic static-route
 // snapshots and the full spread of request shapes (floors, priorities,
 // pinned nodes, heterogeneous reference capacity and node speeds, latency
-// ceilings, eligibility restrictions), the fast path must return exactly
-// the reference oracle's node sets, scores, and error classes — and, on a
+// ceilings, eligibility restrictions), the sweep — ungrouped, trivially
+// grouped and grouped by hierarchy.Build — must return exactly the
+// reference oracle's node sets, scores, and error classes — and, on a
 // sampled subset, a bit-identical decision trace.
 func TestFastPathEquivalence(t *testing.T) {
 	root := randx.New(0xfa57)
@@ -170,7 +217,7 @@ func TestFastPathEquivalence(t *testing.T) {
 		var s *topology.Snapshot
 		kind := "tree"
 		if i%2 == 0 {
-			s = randomTreeSnapshot(src, n)
+			s = RandomTreeSnapshot(src, n)
 		} else {
 			kind = "cyclic"
 			s = randomCyclicSnapshot(src, n)
@@ -186,6 +233,39 @@ func TestFastPathEquivalence(t *testing.T) {
 	}
 }
 
+// TestTwoTierEquivalence runs the same harness where grouping has
+// something to merge: clusters of interchangeable leaves under a switch
+// backbone, with every request shape — those that run grouped and those
+// that set the grouping aside.
+func TestTwoTierEquivalence(t *testing.T) {
+	shapes := []struct{ nSwitch, nClusters, leavesPer int }{
+		{3, 2, 4}, {6, 4, 6}, {10, 8, 10}, {5, 3, 30},
+	}
+	seeds := 12
+	if testing.Short() {
+		seeds = 3
+	}
+	for si, shape := range shapes {
+		for seed := 0; seed < seeds; seed++ {
+			src := randx.New(int64(1000*si + seed))
+			s := testbed.RandomTwoTier(src, shape.nSwitch, shape.nClusters, shape.leavesPer)
+			if hierarchy.Build(s).Clusters() == 0 {
+				t.Fatalf("shape %d seed %d: no clusters formed", si, seed)
+			}
+			for variant := 0; variant < 8; variant++ {
+				req := equivRequest(src, s, variant)
+				if variant%2 == 0 {
+					req.M = min(req.M, 2+src.Intn(8)) // small m keeps most requests feasible
+				}
+				for _, balanced := range []bool{false, true} {
+					tag := fmt.Sprintf("shape %d seed %d variant %d (m=%d balanced=%v)", si, seed, variant, req.M, balanced)
+					assertEquivalent(t, s, req, balanced, variant < 2, tag)
+				}
+			}
+		}
+	}
+}
+
 // TestFastPathEquivalenceTinyAndDegenerate pins the boundary shapes the
 // random sweep may miss: single node, no usable links, every-link-tied,
 // all-pinned requests, and an m equal to the full compute population.
@@ -196,10 +276,10 @@ func TestFastPathEquivalenceTinyAndDegenerate(t *testing.T) {
 	single.AddComputeNode("n00")
 	sSingle := topology.NewSnapshot(single)
 
-	flat := chain(6)
+	flat := Chain(6)
 	sFlat := topology.NewSnapshot(flat) // all availbw equal: one giant tier
 
-	floor := randomTreeSnapshot(src, 12)
+	floor := RandomTreeSnapshot(src, 12)
 	comp := floor.Graph.ComputeNodes()
 
 	cases := []struct {
@@ -222,13 +302,13 @@ func TestFastPathEquivalenceTinyAndDegenerate(t *testing.T) {
 	}
 }
 
-// TestSweepDeterminism asserts the dispatching sweep (and both underlying
-// implementations) return identical results and traces across repeated runs
+// TestSweepDeterminism asserts the sweep, under every grouping, and its
+// oracle return identical results and traces across repeated runs
 // on a tie-heavy snapshot — the shape under which any dependence on Go's
 // randomized map iteration order would surface.
 func TestSweepDeterminism(t *testing.T) {
 	src := randx.New(0xD373)
-	s := randomTreeSnapshot(src, 40)
+	s := RandomTreeSnapshot(src, 40)
 	quantizeBandwidth(s, 2) // heavy metric ties
 	// Heavy CPU ties as well: two load classes only.
 	for i := 0; i < s.Graph.NumNodes(); i++ {
@@ -251,14 +331,15 @@ func TestSweepDeterminism(t *testing.T) {
 		}
 		return o
 	}
-	for _, impl := range []struct {
+	impls := append(groupedArms[:len(groupedArms):len(groupedArms)], []struct {
 		name string
-		fn   func(*topology.Snapshot, Request, Options, bool) (Result, error)
-	}{{"dispatch", sweepSelect}, {"fast", fastSweepSelect}, {"reference", referenceSweepSelect}} {
+		run  func(*topology.Snapshot, Request, Options, bool) (Result, error)
+	}{{"ungrouped", ungrouped}, {"reference", ReferenceSweepSelect}}...)
+	for _, impl := range impls {
 		for _, balanced := range []bool{false, true} {
-			first := run(impl.fn, balanced)
+			first := run(impl.run, balanced)
 			for rep := 1; rep < 20; rep++ {
-				again := run(impl.fn, balanced)
+				again := run(impl.run, balanced)
 				if !reflect.DeepEqual(first, again) {
 					t.Fatalf("%s balanced=%v: run %d diverged from run 0:\nfirst: %+v\nagain: %+v",
 						impl.name, balanced, rep, first, again)
@@ -269,8 +350,8 @@ func TestSweepDeterminism(t *testing.T) {
 }
 
 // FuzzSweepEquivalence decodes arbitrary bytes into a snapshot and request
-// and checks that the union-find fast path and the reference edge-deletion
-// loop agree exactly: same result or same error class.
+// and checks that the union-find sweep, under every grouping, and the
+// reference edge-deletion loop agree exactly: same result or same error.
 func FuzzSweepEquivalence(f *testing.F) {
 	f.Add([]byte{8, 1, 2, 3, 4, 5, 6, 7, 0, 3, 10, 20, 30, 40, 50, 60, 70})
 	f.Add([]byte{4, 0, 0, 0, 200, 1, 255, 255, 255})
@@ -290,9 +371,9 @@ func FuzzSweepEquivalence(f *testing.F) {
 		g := topology.NewGraph()
 		for i := 0; i < n; i++ {
 			if at(i)%5 == 4 {
-				g.AddNetworkNode("s" + nodeName(i))
+				g.AddNetworkNode("s" + NodeName(i))
 			} else {
-				g.AddComputeNodeSpec(nodeName(i), 0.25+float64(at(n+i)%8)/4, "")
+				g.AddComputeNodeSpec(NodeName(i), 0.25+float64(at(n+i)%8)/4, "")
 			}
 		}
 		for i := 1; i < n; i++ {
@@ -321,19 +402,6 @@ func FuzzSweepEquivalence(f *testing.F) {
 		}
 		balanced := at(6*n+5)%2 == 1
 
-		fastRes, fastErr := fastSweepSelect(s, req, Options{}, balanced)
-		refRes, refErr := referenceSweepSelect(s, req, Options{}, balanced)
-		if (fastErr == nil) != (refErr == nil) {
-			t.Fatalf("error divergence: fast=%v ref=%v", fastErr, refErr)
-		}
-		if fastErr != nil {
-			if fastErr.Error() != refErr.Error() {
-				t.Fatalf("error message divergence: fast=%v ref=%v", fastErr, refErr)
-			}
-			return
-		}
-		if !reflect.DeepEqual(fastRes, refRes) {
-			t.Fatalf("result divergence:\nfast: %+v\nref:  %+v", fastRes, refRes)
-		}
+		assertEquivalent(t, s, req, balanced, false, "fuzz case")
 	})
 }

@@ -1,0 +1,312 @@
+package core_test
+
+import (
+	"fmt"
+	"reflect"
+	"slices"
+	"sync"
+	"testing"
+
+	. "nodeselect/internal/core"
+	"nodeselect/internal/hierarchy"
+	"nodeselect/internal/randx"
+	"nodeselect/internal/testbed"
+	"nodeselect/internal/topology"
+)
+
+// sweepFn is Sweep, on the pool or bound to one scratch.
+type sweepFn func(*topology.Snapshot, Request, Options, bool, *Grouping) (Result, error)
+
+// reuseWorld is one snapshot of the scratch-reuse stream with the groupings
+// requests on it may run under.
+type reuseWorld struct {
+	s       *topology.Snapshot
+	trivial *Grouping
+	part    *hierarchy.Partition
+}
+
+// reuseCase is one request of the stream with the literal loop's answer
+// and, when it is observed, trace.
+type reuseCase struct {
+	tag      string
+	w        reuseWorld
+	arm      int // 0 ungrouped, 1 trivial grouping, 2 hierarchy.Build's grouping
+	req      Request
+	balanced bool
+	observe  bool
+
+	want  Result
+	err   error
+	steps []SweepStep
+}
+
+// outcome is what one run hands its caller.
+type outcome struct {
+	res   Result
+	err   error
+	steps []SweepStep
+}
+
+// clone copies an outcome down to the last slice, for comparing what a
+// caller holds with what it was given.
+func (o outcome) clone() outcome {
+	c := outcome{res: o.res, err: o.err}
+	c.res.Nodes = slices.Clone(o.res.Nodes)
+	for _, st := range o.steps {
+		st.RemovedLinks = slices.Clone(st.RemovedLinks)
+		st.Candidates = slices.Clone(st.Candidates)
+		for i := range st.Candidates {
+			st.Candidates[i].Nodes = slices.Clone(st.Candidates[i].Nodes)
+		}
+		c.steps = append(c.steps, st)
+	}
+	return c
+}
+
+// run answers the case with sweep (arm 2 always goes through
+// hierarchy.Select, hence the pool).
+func (c reuseCase) run(sweep sweepFn) outcome {
+	var o outcome
+	var opts Options
+	if c.observe {
+		opts.Observer = func(st SweepStep) { o.steps = append(o.steps, st) }
+	}
+	switch c.arm {
+	case 0:
+		o.res, o.err = sweep(c.w.s, c.req, opts, c.balanced, nil)
+	case 1:
+		o.res, o.err = sweep(c.w.s, c.req, opts, c.balanced, c.w.trivial)
+	default:
+		algo := AlgoBandwidth
+		if c.balanced {
+			algo = AlgoBalanced
+		}
+		o.res, _, o.err = hierarchy.Select(algo, c.w.s, c.w.part, c.req, nil, opts)
+	}
+	return o
+}
+
+func (c reuseCase) check(o outcome) error {
+	if (o.err == nil) != (c.err == nil) || (o.err != nil && o.err.Error() != c.err.Error()) {
+		return fmt.Errorf("%s: error divergence: sweep=%v ref=%v", c.tag, o.err, c.err)
+	}
+	if o.err == nil && !reflect.DeepEqual(o.res, c.want) {
+		return fmt.Errorf("%s: result divergence:\nsweep: %+v\nref:   %+v", c.tag, o.res, c.want)
+	}
+	if c.observe && !reflect.DeepEqual(o.steps, c.steps) {
+		return fmt.Errorf("%s: trace diverges from the reference's (%d steps vs %d)", c.tag, len(o.steps), len(c.steps))
+	}
+	return nil
+}
+
+// runStream answers the cases in order and holds each answer to the
+// oracle's; after every request it also checks that the previous one's
+// result and trace — which an audit ring or plan cache would still hold —
+// have not changed under it.
+func runStream(cases []reuseCase, order func(i int) int, sweep sweepFn) error {
+	var prev, prevCopy outcome
+	for i := range cases {
+		c := cases[order(i)]
+		o := c.run(sweep)
+		if err := c.check(o); err != nil {
+			return err
+		}
+		if !reflect.DeepEqual(prev, prevCopy) {
+			return fmt.Errorf("%s: the previous request's result or trace changed while this one ran", c.tag)
+		}
+		prev, prevCopy = o, o.clone()
+	}
+	return nil
+}
+
+// reuseStream builds n mixed requests over snapshots of different sizes and
+// every class the scratch serves: m 1–64 (often more than a topology has:
+// infeasible), both objectives, every eligibility constraint on and off,
+// pins, latency ceilings, the observer, and all three groupings.
+func reuseStream(n int) []reuseCase {
+	shapes := []struct{ nSwitch, nClusters, leavesPer int }{
+		{10, 8, 30}, {3, 2, 4}, {6, 4, 10}, {5, 3, 30},
+	}
+	worlds := make([]reuseWorld, len(shapes))
+	for i, sh := range shapes {
+		s := testbed.RandomTwoTier(randx.New(int64(7000+i)), sh.nSwitch, sh.nClusters, sh.leavesPer)
+		worlds[i] = reuseWorld{s, NewGrouping(s.Graph, nil), hierarchy.Build(s)}
+	}
+	src := randx.New(99)
+	cases := make([]reuseCase, n)
+	for i := range cases {
+		w := worlds[src.Intn(len(worlds))]
+		req := Request{M: 2 + src.Intn(63)}
+		if src.Intn(3) == 0 {
+			req.M = 2 + src.Intn(7) // keep a good share feasible on the small shapes
+		}
+		if src.Intn(3) == 0 {
+			req.MinCPU = src.Float64() * 0.6
+		}
+		if src.Intn(3) == 0 {
+			req.MinBW = src.Float64() * 150e6
+		}
+		if src.Intn(3) == 0 {
+			req.MinMemoryMB = float64(256 * (1 + src.Intn(8)))
+		}
+		if src.Intn(3) == 0 {
+			cut := 2 + src.Intn(5)
+			req.Eligible = func(node int) bool { return node%cut != 0 }
+		}
+		if src.Intn(4) == 0 {
+			req.ComputePriority, req.RefCapacity = 0.5+src.Float64()*3, 100e6
+		}
+		class := "simple"
+		switch src.Intn(8) {
+		case 0:
+			class, req.M = "m=1", 1
+		case 1:
+			class = "pinned"
+			comp := w.s.Graph.ComputeNodes()
+			req.M = 2 + src.Intn(7)
+			req.Pinned = []int{comp[src.Intn(len(comp))], comp[src.Intn(len(comp))]}
+		case 2:
+			class, req.MaxPairLatency = "latency", 1e-3+src.Float64()*3e-3
+			req.M = 2 + src.Intn(7)
+		}
+		c := reuseCase{w: w, arm: src.Intn(3), req: req, balanced: i%2 == 1, observe: src.Intn(3) == 0}
+		c.tag = fmt.Sprintf("request %d (%s, m=%d, balanced=%v, arm %d, observed=%v)", i, class, req.M, c.balanced, c.arm, c.observe)
+		var opts Options
+		if c.observe {
+			opts.Observer = func(st SweepStep) { c.steps = append(c.steps, st) }
+		}
+		c.want, c.err = ReferenceSweepSelect(w.s, req, opts, c.balanced)
+		cases[i] = c
+	}
+	return cases
+}
+
+// TestScratchReuseCannotLeak drives mixed requests — grouped and ungrouped,
+// observed or not, with pins, latency ceilings and M = 1 among them —
+// through one scratch in sequence, then through the shared pool from 8
+// goroutines (run under -race), and holds every answer and trace to the
+// literal loop's, so state left behind by one request can never show up in
+// the next; and nothing a request handed out may change afterwards.
+func TestScratchReuseCannotLeak(t *testing.T) {
+	cases := reuseStream(320)
+	feasible := 0
+	for _, c := range cases {
+		if c.err == nil {
+			feasible++
+		}
+	}
+	if feasible < len(cases)/4 || feasible > len(cases)*9/10 {
+		t.Fatalf("%d of %d requests feasible: the stream should mix both", feasible, len(cases))
+	}
+	if err := runStream(cases, func(i int) int { return i }, NewScratchSweep()); err != nil {
+		t.Fatal(err)
+	}
+
+	const workers = 8
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			order := func(i int) int { return (i*7 + w*41) % len(cases) } // each worker its own order
+			if err := runStream(cases, order, Sweep); err != nil {
+				t.Error(err)
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+// TestScratchReuseExplicitCases runs the orders most likely to expose a
+// stale buffer on one scratch: a larger m after a smaller one (top buffers
+// too short), fewer vertices after more (stale cells and owned buffers past
+// the new end), a request that returns early, an observed request after a
+// plain one, the member-gathering classes after the merging one, and back.
+func TestScratchReuseExplicitCases(t *testing.T) {
+	big := testbed.RandomTwoTier(randx.New(1), 10, 8, 30)
+	small := testbed.RandomTwoTier(randx.New(2), 3, 2, 4)
+	worlds := map[*topology.Snapshot]reuseWorld{
+		big:   {s: big, trivial: NewGrouping(big.Graph, nil)},
+		small: {s: small, trivial: NewGrouping(small.Graph, nil)},
+	}
+	pin := small.Graph.ComputeNodes()[:2]
+	steps := []struct {
+		s       *topology.Snapshot
+		req     Request
+		observe bool
+	}{
+		{big, Request{M: 2}, false},
+		{big, Request{M: 48}, false},                     // larger m after smaller
+		{small, Request{M: 3}, true},                     // fewer vertices after more, observed
+		{small, Request{M: 3, MinCPU: 99}, false},        // too few eligible: early return
+		{big, Request{M: 64, MinCPU: 0.1}, false},        // larger everything again, filtered members
+		{big, Request{M: 5, MinBW: 1e12}, true},          // no feasible set, observed
+		{small, Request{M: 3, Pinned: pin}, true},        // gathers members
+		{big, Request{M: 1}, false},                      // singletons
+		{big, Request{M: 4, MaxPairLatency: 2e-3}, true}, // several pools per component
+		{small, Request{M: 2}, false},
+	}
+	sweep := NewScratchSweep()
+	var cases []reuseCase
+	for i, st := range steps {
+		for arm := 0; arm < 2; arm++ {
+			for _, balanced := range []bool{false, true} {
+				c := reuseCase{w: worlds[st.s], arm: arm, req: st.req, balanced: balanced, observe: st.observe}
+				c.tag = fmt.Sprintf("step %d (arm %d, balanced=%v)", i, arm, balanced)
+				var opts Options
+				if c.observe {
+					opts.Observer = func(s SweepStep) { c.steps = append(c.steps, s) }
+				}
+				c.want, c.err = ReferenceSweepSelect(st.s, st.req, opts, balanced)
+				cases = append(cases, c)
+			}
+		}
+	}
+	if err := runStream(cases, func(i int) int { return i }, sweep); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// flat200 is the benchmark's flat200_sweep / flat200_admit input: the
+// 211-node multicluster with about a third of the nodes loaded and a third
+// of the links partly used (bench/workload.go's loadedSnapshot and seed).
+func flat200() *topology.Snapshot {
+	g := testbed.MultiCluster(10, 20, testbed.Ethernet100, testbed.Ethernet100)
+	src := randx.New(1).Split("snapshot")
+	s := topology.NewSnapshot(g)
+	for _, id := range g.ComputeNodes() {
+		if src.Float64() < 0.35 {
+			s.SetLoad(id, src.Uniform(0.5, 4))
+		}
+	}
+	for l := 0; l < g.NumLinks(); l++ {
+		if src.Float64() < 0.35 {
+			s.SetUtilization(l, src.Uniform(0.2, 0.95))
+		}
+	}
+	return s
+}
+
+// TestFlatSelectAllocs is TestQuotientSelectAllocs' ungrouped twin: a
+// warmed, unobserved select on the benchmark's 211-node input stays under
+// 100 allocations (~30 measured: the Results it scores and their memo keys;
+// a sweep that rebuilds its working set per request makes ~700).
+func TestFlatSelectAllocs(t *testing.T) {
+	s := flat200()
+	if got := s.Graph.NumNodes(); got != 211 {
+		t.Fatalf("input drifted from the benchmark's: %d nodes", got)
+	}
+	i := 0
+	run := func() {
+		algo := []string{AlgoBalanced, AlgoBandwidth}[i%2]
+		req := Request{M: 4 + (i*5)%13} // the workload's m 4–16
+		i++
+		if _, err := SelectOpt(algo, s, req, nil, Options{}); err != nil {
+			t.Fatalf("select %d: %v", i, err)
+		}
+	}
+	run() // warm the scratch and the graph's route table
+	if avg := testing.AllocsPerRun(40, run); avg > 100 {
+		t.Fatalf("warmed ungrouped select: %.0f allocations per run, want ≤ 100", avg)
+	}
+}

@@ -9,114 +9,9 @@ import (
 
 	"nodeselect/internal/core"
 	"nodeselect/internal/randx"
+	"nodeselect/internal/testbed"
 	"nodeselect/internal/topology"
 )
-
-// clusteredSnapshot builds a random two-tier topology in the quotient
-// path's natural habitat: a backbone of switches (random tree plus chords)
-// carrying a handful of loose and multi-homed compute nodes, with clusters
-// of degree-1 leaves hanging off random switches. Access links are uniform
-// within a cluster (the collapse precondition) but leaf loads are not —
-// member ranking must cope with heterogeneous effective CPU. A few access
-// links are perturbed afterwards so some leaves fall back to the backbone,
-// and all bandwidths are quantized onto a coarse grid so equal-metric tiers
-// (several links removed per sweep round, score collisions) are common.
-func clusteredSnapshot(src *randx.Source, nSwitch, nClusters, leavesPer int) *topology.Snapshot {
-	g := topology.NewGraph()
-	caps := []float64{10e6, 100e6, 1e9}
-	archs := []string{"", "x86", "alpha"}
-
-	sw := make([]int, nSwitch)
-	for i := range sw {
-		sw[i] = g.AddNetworkNode(fmt.Sprintf("sw%d", i))
-	}
-	for i := 1; i < nSwitch; i++ {
-		g.Connect(sw[src.Intn(i)], sw[i], caps[src.Intn(len(caps))],
-			topology.LinkOpts{Latency: src.Float64() * 1e-3})
-	}
-	for e := 0; e < nSwitch/2; e++ {
-		a, b := src.Intn(nSwitch), src.Intn(nSwitch)
-		if a == b {
-			continue
-		}
-		g.Connect(sw[a], sw[b], caps[src.Intn(len(caps))],
-			topology.LinkOpts{Latency: src.Float64() * 1e-3})
-	}
-
-	nLoose := 2 + src.Intn(3)
-	for i := 0; i < nLoose; i++ {
-		id := g.AddComputeNodeSpec(fmt.Sprintf("x%d", i), 0.5+src.Float64()*1.5, archs[src.Intn(len(archs))])
-		g.SetNodeMemory(id, float64(256*(1+src.Intn(8))))
-		g.Connect(id, sw[src.Intn(nSwitch)], caps[src.Intn(len(caps))],
-			topology.LinkOpts{Latency: src.Float64() * 1e-3})
-		if src.Intn(2) == 0 { // multi-homed: stays in the backbone
-			g.Connect(id, sw[src.Intn(nSwitch)], caps[src.Intn(len(caps))],
-				topology.LinkOpts{Latency: src.Float64() * 1e-3})
-		}
-	}
-
-	var accessLinks []int
-	for c := 0; c < nClusters; c++ {
-		anchor := sw[src.Intn(nSwitch)]
-		speed := []float64{0.5, 1, 1.5, 2}[src.Intn(4)]
-		arch := archs[src.Intn(len(archs))]
-		mem := float64(512 * (1 + src.Intn(4)))
-		capacity := caps[src.Intn(len(caps))]
-		lat := float64(1+src.Intn(4)) * 25e-5
-		n := 2 + src.Intn(leavesPer)
-		for i := 0; i < n; i++ {
-			id := g.AddComputeNodeSpec(fmt.Sprintf("c%d-%d", c, i), speed, arch)
-			g.SetNodeMemory(id, mem)
-			accessLinks = append(accessLinks,
-				g.Connect(id, anchor, capacity, topology.LinkOpts{Latency: lat}))
-		}
-	}
-
-	s := topology.NewSnapshot(g)
-	for id := 0; id < g.NumNodes(); id++ {
-		s.SetLoad(id, src.Float64()*4)
-	}
-	isAccess := make(map[int]bool, len(accessLinks))
-	for _, l := range accessLinks {
-		isAccess[l] = true
-	}
-	quantize := func(l int, frac float64) {
-		c := g.Link(l).Capacity
-		step := c / 8
-		s.SetAvailBW(l, float64(int(frac*c/step))*step)
-	}
-	// Backbone links: independent random availability. Access links: one
-	// draw per cluster, so the interior stays metric-uniform. accessLinks
-	// is grouped by construction — a new cluster starts whenever the
-	// anchor, capacity or latency changes relative to the previous link.
-	frac := 0.0
-	var prevAnchor int
-	var prevCap, prevLat float64
-	for i, l := range accessLinks {
-		lk := g.Link(l)
-		anchor := lk.A
-		if g.Node(anchor).Kind == topology.Compute {
-			anchor = lk.B
-		}
-		if i == 0 || anchor != prevAnchor || lk.Capacity != prevCap || lk.Latency != prevLat {
-			frac = src.Float64()
-		}
-		prevAnchor, prevCap, prevLat = anchor, lk.Capacity, lk.Latency
-		quantize(l, frac)
-	}
-	for l := 0; l < g.NumLinks(); l++ {
-		if !isAccess[l] {
-			quantize(l, src.Float64())
-		}
-	}
-	// Perturb a few access links: those leaves lose interchangeability
-	// and must fall back to the backbone without disturbing exactness.
-	for k := 0; k < 1+src.Intn(3); k++ {
-		l := accessLinks[src.Intn(len(accessLinks))]
-		quantize(l, src.Float64())
-	}
-	return s
-}
 
 // hierRequest derives a request in the quotient path's gated class,
 // cycling constraint shapes like core's equivalence suite does.
@@ -147,8 +42,8 @@ func hierRequest(src *randx.Source, s *topology.Snapshot, variant int) core.Requ
 	return req
 }
 
-// assertHierEquivalent requires the quotient path to engage and to agree
-// with the flat fast path bit for bit: every Result field, error class and
+// assertHierEquivalent requires the request to run grouped and to agree
+// with the ungrouped sweep bit for bit: every Result field, error class and
 // error message.
 func assertHierEquivalent(t *testing.T, algo string, s *topology.Snapshot, p *Partition, req core.Request, tag string) {
 	t.Helper()
@@ -177,8 +72,8 @@ func assertHierEquivalent(t *testing.T, algo string, s *topology.Snapshot, p *Pa
 }
 
 // TestQuotientEquivalence is the exact-equivalence wall of DESIGN.md §15:
-// on every topology where the quotient path engages, hierarchical selection
-// returns exactly what the flat fast path returns — node sets, every score
+// on every topology where a request runs grouped, hierarchical selection
+// returns exactly what the ungrouped sweep returns — node sets, every score
 // field, bottleneck identity, and error text.
 func TestQuotientEquivalence(t *testing.T) {
 	shapes := []struct{ nSwitch, nClusters, leavesPer int }{
@@ -194,7 +89,7 @@ func TestQuotientEquivalence(t *testing.T) {
 	for si, shape := range shapes {
 		for seed := 0; seed < seeds; seed++ {
 			src := randx.New(int64(1000*si + seed))
-			s := clusteredSnapshot(src, shape.nSwitch, shape.nClusters, shape.leavesPer)
+			s := testbed.RandomTwoTier(src, shape.nSwitch, shape.nClusters, shape.leavesPer)
 			p := Build(s)
 			if p.Clusters() == 0 {
 				t.Fatalf("shape %d seed %d: no clusters formed", si, seed)
@@ -214,7 +109,7 @@ func TestQuotientEquivalence(t *testing.T) {
 // the flat path's exact wording.
 func TestQuotientErrorEquivalence(t *testing.T) {
 	src := randx.New(7)
-	s := clusteredSnapshot(src, 4, 3, 5)
+	s := testbed.RandomTwoTier(src, 4, 3, 5)
 	p := Build(s)
 
 	// Too few eligible nodes: a CPU floor no node clears.
@@ -245,7 +140,7 @@ func TestQuotientErrorEquivalence(t *testing.T) {
 // fallback answer matches core exactly.
 func TestFallbackGates(t *testing.T) {
 	src := randx.New(11)
-	s := clusteredSnapshot(src, 4, 3, 5)
+	s := testbed.RandomTwoTier(src, 4, 3, 5)
 	p := Build(s)
 	comp := s.Graph.ComputeNodes()
 
@@ -257,7 +152,7 @@ func TestFallbackGates(t *testing.T) {
 		opts core.Options
 	}{
 		{name: "nil partition", algo: core.AlgoBalanced, p: nil, req: core.Request{M: 2}},
-		{name: "foreign graph", algo: core.AlgoBalanced, p: Build(clusteredSnapshot(randx.New(12), 3, 2, 4)), req: core.Request{M: 2}},
+		{name: "foreign graph", algo: core.AlgoBalanced, p: Build(testbed.RandomTwoTier(randx.New(12), 3, 2, 4)), req: core.Request{M: 2}},
 		{name: "compute algo", algo: core.AlgoCompute, p: p, req: core.Request{M: 2}},
 		{name: "static algo", algo: core.AlgoStatic, p: p, req: core.Request{M: 2}},
 		{name: "M=1", algo: core.AlgoBandwidth, p: p, req: core.Request{M: 1}},
@@ -304,7 +199,7 @@ func TestFallbackGates(t *testing.T) {
 // TestSelectCtx smoke-tests the traced wrapper on both paths.
 func TestSelectCtx(t *testing.T) {
 	src := randx.New(3)
-	s := clusteredSnapshot(src, 4, 3, 5)
+	s := testbed.RandomTwoTier(src, 4, 3, 5)
 	p := Build(s)
 	ctx := context.Background()
 	res, path, err := SelectCtx(ctx, core.AlgoBalanced, s, p, core.Request{M: 2}, nil, core.Options{})

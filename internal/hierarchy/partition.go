@@ -1,13 +1,11 @@
 // Package hierarchy implements cluster-first selection for large
 // topologies: it collapses groups of interchangeable access-layer compute
-// nodes into logical clusters, runs the Figure 2/3 union-find bottleneck
-// sweep on the collapsed quotient graph, and descends into the winning
-// clusters to pick concrete nodes. On every topology and request where the
-// quotient path engages, the returned placement is exactly — bit for bit —
-// the one the flat fast path in internal/core would have produced
-// (TestQuotientEquivalence holds both implementations to that contract);
-// the quotient path merely refuses requests outside its proven class and
-// falls back to the flat path for them.
+// nodes into logical clusters and hands them to core's bottleneck sweep as
+// a grouping, so each cluster is one union-find vertex instead of one per
+// member. The sweep is core's — this package has none of its own — and a
+// grouped run returns exactly, bit for bit, the placement an ungrouped run
+// returns (TestQuotientEquivalence holds it to that); requests outside the
+// class that runs grouped go to core.SelectOpt, the same sweep ungrouped.
 //
 // The collapse follows the logical-homogeneous-cluster idea of Estefanel &
 // Mounié (cs/0408033): a cluster is a maximal group of degree-1 compute
@@ -16,13 +14,14 @@
 // available bandwidth) are indistinguishable. Inside such a group the sweep
 // metric is uniform for every objective and reference capacity, so the
 // entire group enters and leaves the edge-deletion sweep at one threshold —
-// which is what makes a single quotient vertex with one activation edge an
-// exact stand-in for the whole group.
+// which is what makes a single vertex with one activation edge an exact
+// stand-in for the whole group.
 package hierarchy
 
 import (
 	"sort"
 
+	"nodeselect/internal/core"
 	"nodeselect/internal/topology"
 )
 
@@ -34,7 +33,7 @@ type Bundle struct {
 	Anchor int
 	// Members are the clustered compute nodes, ranked by descending
 	// effective CPU with ties broken by ascending ID — the exact order
-	// the flat sweep's topCPUNodes would consider them in.
+	// the sweep's topCPUNodes would consider them in.
 	Members []int
 	// Links[i] is Members[i]'s access link.
 	Links []int
@@ -55,11 +54,8 @@ type Bundle struct {
 type Partition struct {
 	g       *topology.Graph
 	bundles []Bundle
-
-	// backboneIDs are the non-collapsed node IDs, ascending; bidx maps a
-	// node ID to its dense index in backboneIDs, or -1 for members.
-	backboneIDs []int
-	bidx        []int
+	// grouping is the bundles in the form core's sweep takes them.
+	grouping *core.Grouping
 }
 
 // bundleSig is the equivalence signature members of one bundle must share.
@@ -82,8 +78,7 @@ type bundleSig struct {
 // else stays in the backbone.
 func Build(s *topology.Snapshot) *Partition {
 	g := s.Graph
-	n := g.NumNodes()
-	p := &Partition{g: g, bidx: make([]int, n)}
+	p := &Partition{g: g}
 
 	groups := make(map[bundleSig][]int)
 	for _, id := range g.ComputeNodes() {
@@ -124,7 +119,7 @@ func Build(s *topology.Snapshot) *Partition {
 			AvailBW:  sig.availBW,
 			Capacity: sig.capacity,
 		}
-		// Rank members exactly as the flat sweep's topCPUNodes orders
+		// Rank members exactly as the sweep's topCPUNodes orders
 		// candidates: effective CPU descending, ID ascending.
 		sort.Slice(b.Members, func(i, j int) bool {
 			a, c := b.Members[i], b.Members[j]
@@ -142,17 +137,11 @@ func Build(s *topology.Snapshot) *Partition {
 	// The grouping map's iteration order must not leak into bundle
 	// numbering: order bundles by their smallest member.
 	sort.Slice(p.bundles, func(i, j int) bool { return p.bundles[i].MinID < p.bundles[j].MinID })
-	for j := range p.bundles {
-		for _, id := range p.bundles[j].Members {
-			p.bidx[id] = -1
-		}
+	sweepGroups := make([]core.Group, len(p.bundles))
+	for j, b := range p.bundles {
+		sweepGroups[j] = core.Group{Anchor: b.Anchor, Members: b.Members, Link: b.Links[0], MinID: b.MinID}
 	}
-	for id := 0; id < n; id++ {
-		if p.bidx[id] >= 0 {
-			p.bidx[id] = len(p.backboneIDs)
-			p.backboneIDs = append(p.backboneIDs, id)
-		}
-	}
+	p.grouping = core.NewGrouping(g, sweepGroups)
 	return p
 }
 
@@ -177,4 +166,4 @@ func (p *Partition) CollapsedNodes() int {
 
 // BackboneNodes returns the number of nodes left uncollapsed (switches,
 // routers, and loose compute nodes).
-func (p *Partition) BackboneNodes() int { return len(p.backboneIDs) }
+func (p *Partition) BackboneNodes() int { return p.g.NumNodes() - p.CollapsedNodes() }

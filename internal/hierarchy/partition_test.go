@@ -3,9 +3,11 @@ package hierarchy
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"nodeselect/internal/randx"
+	"nodeselect/internal/testbed"
 	"nodeselect/internal/topology"
 )
 
@@ -92,8 +94,10 @@ func TestPartitionStructure(t *testing.T) {
 	// The split leaf, the lone leaf, the multi-homed node and the
 	// isolated pair all stay in the backbone.
 	for _, name := range []string{"split", "lone", "multi", "pair1", "pair2"} {
-		if p.bidx[ids[name]] < 0 {
-			t.Fatalf("%s collapsed into a bundle, want backbone", name)
+		for _, b := range p.Bundles() {
+			if slices.Contains(b.Members, ids[name]) {
+				t.Fatalf("%s collapsed into a bundle, want backbone", name)
+			}
 		}
 	}
 }
@@ -118,13 +122,13 @@ func TestPartitionMemberRanking(t *testing.T) {
 func TestPartitionDeterminism(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		src := randx.New(seed)
-		s := clusteredSnapshot(src, 6, 5, 8)
+		s := testbed.RandomTwoTier(src, 6, 5, 8)
 		p1, p2 := Build(s), Build(s)
 		if !reflect.DeepEqual(p1.Bundles(), p2.Bundles()) {
 			t.Fatalf("seed %d: bundle sets differ across builds", seed)
 		}
-		if !reflect.DeepEqual(p1.backboneIDs, p2.backboneIDs) {
-			t.Fatalf("seed %d: backbone sets differ across builds", seed)
+		if !reflect.DeepEqual(p1.grouping, p2.grouping) {
+			t.Fatalf("seed %d: the groupings handed to the sweep differ across builds", seed)
 		}
 	}
 }
@@ -139,7 +143,7 @@ func TestPartitionDeterminism(t *testing.T) {
 func TestRouteDecomposition(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		src := randx.New(seed)
-		s := clusteredSnapshot(src, 4+src.Intn(6), 2+src.Intn(5), 6)
+		s := testbed.RandomTwoTier(src, 4+src.Intn(6), 2+src.Intn(5), 6)
 		g := s.Graph
 		n := g.NumNodes()
 		// anchorOf returns a leaf's attachment node and access link, or

@@ -12,8 +12,8 @@ import (
 	"nodeselect/internal/topology"
 )
 
-// reuseCase is one request of the scratch-reuse stream with the flat
-// path's answer to it.
+// reuseCase is one request of the scratch-reuse stream with the ungrouped
+// sweep's answer to it.
 type reuseCase struct {
 	tag  string
 	algo string
@@ -26,10 +26,10 @@ type reuseCase struct {
 
 func (c reuseCase) check(res core.Result, err error) error {
 	if (err == nil) != (c.err == nil) || (err != nil && err.Error() != c.err.Error()) {
-		return fmt.Errorf("%s: error divergence: hier=%v flat=%v", c.tag, err, c.err)
+		return fmt.Errorf("%s: error divergence: grouped=%v ungrouped=%v", c.tag, err, c.err)
 	}
 	if err == nil && !reflect.DeepEqual(res, c.want) {
-		return fmt.Errorf("%s: result divergence:\nhier: %+v\nflat: %+v", c.tag, res, c.want)
+		return fmt.Errorf("%s: result divergence:\ngrouped:   %+v\nungrouped: %+v", c.tag, res, c.want)
 	}
 	return nil
 }
@@ -47,7 +47,7 @@ func reuseStream(n int) []reuseCase {
 	}
 	worlds := make([]world, len(shapes))
 	for i, sh := range shapes {
-		s := clusteredSnapshot(randx.New(int64(7000+i)), sh.nSwitch, sh.nClusters, sh.leavesPer)
+		s := testbed.RandomTwoTier(randx.New(int64(7000+i)), sh.nSwitch, sh.nClusters, sh.leavesPer)
 		worlds[i] = world{s, Build(s)}
 	}
 	src := randx.New(99)
@@ -82,10 +82,12 @@ func reuseStream(n int) []reuseCase {
 	return cases
 }
 
-// TestScratchReuseCannotLeak drives mixed requests through the shared
-// scratch pool — in sequence, then from 8 goroutines (run under -race) —
-// and holds every answer to the flat path's, so state left behind by one
-// request can never show up in the next.
+// TestScratchReuseCannotLeak drives mixed requests over shared partitions
+// through core's scratch pool — in sequence, then from 8 goroutines (run
+// under -race) — and holds every grouped answer to the ungrouped one, so
+// state left behind by one request can never show up in the next. core's
+// test of the same name covers the other request classes against the
+// literal oracle.
 func TestScratchReuseCannotLeak(t *testing.T) {
 	cases := reuseStream(320)
 	feasible := 0
@@ -124,13 +126,14 @@ func TestScratchReuseCannotLeak(t *testing.T) {
 	wg.Wait()
 }
 
-// TestScratchReuseExplicitCases runs the orders most likely to expose a
-// stale buffer on one scratch: a larger m after a smaller one (top buffers
-// too short), a smaller partition after a larger one (stale vertices and
-// owned buffers past the new end), and back.
+// TestScratchReuseExplicitCases runs, back to back on one goroutine (so in
+// practice on one pooled scratch; core's test of the same name pins the
+// scratch), the orders most likely to expose a stale buffer: a larger m
+// after a smaller one (top buffers too short), a smaller partition after a
+// larger one (stale vertices and owned buffers past the new end), and back.
 func TestScratchReuseExplicitCases(t *testing.T) {
-	big := clusteredSnapshot(randx.New(1), 10, 8, 30)
-	small := clusteredSnapshot(randx.New(2), 3, 2, 4)
+	big := testbed.RandomTwoTier(randx.New(1), 10, 8, 30)
+	small := testbed.RandomTwoTier(randx.New(2), 3, 2, 4)
 	pBig, pSmall := Build(big), Build(small)
 	steps := []struct {
 		s   *topology.Snapshot
@@ -145,12 +148,14 @@ func TestScratchReuseExplicitCases(t *testing.T) {
 		{big, pBig, core.Request{M: 5, MinBW: 1e12}},    // no feasible set
 		{small, pSmall, core.Request{M: 2}},
 	}
-	sc := scratchPool.New().(*scratch)
 	for i, st := range steps {
 		for _, algo := range []string{core.AlgoBandwidth, core.AlgoBalanced} {
 			c := reuseCase{tag: fmt.Sprintf("step %d %s", i, algo)}
 			c.want, c.err = core.SelectOpt(algo, st.s, st.req, nil, core.Options{})
-			res, err := sc.quotientSelect(st.s, st.p, st.req, algo == core.AlgoBalanced)
+			res, path, err := Select(algo, st.s, st.p, st.req, nil, core.Options{})
+			if path != PathQuotient {
+				t.Fatalf("%s: path = %q, want quotient", c.tag, path)
+			}
 			if e := c.check(res, err); e != nil {
 				t.Fatal(e)
 			}

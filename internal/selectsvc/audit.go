@@ -106,9 +106,9 @@ type Decision struct {
 	// cached). Empty when the cache is disabled.
 	Cache string `json:"cache,omitempty"`
 	// Hierarchy reports how hierarchical selection answered this plain
-	// select: "quotient" (the collapsed cluster-first sweep) or
-	// "fallback" (the request fell outside the quotient path's
-	// proven-equivalent class and the flat path ran). Empty when the
+	// select: "quotient" (the sweep ran over the partition's clusters)
+	// or "fallback" (the request fell outside the class that runs
+	// grouped and the sweep ran ungrouped). Empty when the
 	// service runs without -hierarchy or for leased/spec requests.
 	Hierarchy string `json:"hierarchy,omitempty"`
 	// Trace is the sweep's round log, oldest first.

@@ -59,7 +59,7 @@ type svcMetrics struct {
 	httpLatency *metrics.HistogramVec
 	// selectsvc_hierarchy_requests_total{path}: plain selects routed
 	// through hierarchical selection, by answering path — quotient
-	// (collapsed sweep) or fallback (flat path)
+	// (the sweep ran grouped) or fallback (ungrouped)
 	hierRequests *metrics.CounterVec
 	// selectsvc_hierarchy_partition_builds_total: cluster partitions
 	// computed (one per (snapshot, ledger) epoch that served a

@@ -201,6 +201,53 @@ func TestErrorBodiesAndClasses(t *testing.T) {
 	}
 }
 
+// TestUnknownAlgoLeavesNoTrace: a client-chosen algorithm name must not
+// become a selectsvc_requests_total series (they are never reclaimed) nor
+// take a plan-cache slot; it is a counted, audited 400 and nothing else.
+func TestUnknownAlgoLeavesNoTrace(t *testing.T) {
+	svc, _, _ := newTestService(t)
+	h := svc.Handler()
+	do(t, h, "POST", "/select", SelectRequest{M: 2}) // one legitimate series and cache entry
+
+	state := func() (series int, entries string) {
+		for _, line := range strings.Split(do(t, h, "GET", "/metrics", nil).Body.String(), "\n") {
+			if strings.HasPrefix(line, "selectsvc_requests_total{") {
+				series++
+			}
+			if strings.HasPrefix(line, "selectsvc_plan_cache_entries ") {
+				entries = line
+			}
+		}
+		return series, entries
+	}
+	series, entries := state()
+	if series != 1 || entries != "selectsvc_plan_cache_entries 1" {
+		t.Fatalf("before: %d request series, %q", series, entries)
+	}
+
+	const junk = 50
+	for i := 0; i < junk; i++ {
+		w := do(t, h, "POST", "/select", SelectRequest{M: 2, Algo: fmt.Sprintf("junk-%d", i)})
+		if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), `"class":"bad_request"`) {
+			t.Fatalf("junk algo %d: status %d body %s", i, w.Code, w.Body)
+		}
+	}
+	if s, e := state(); s != series || e != entries {
+		t.Fatalf("after %d junk names: %d request series (was %d), %q (was %q)", junk, s, series, e, entries)
+	}
+	body := do(t, h, "GET", "/metrics", nil).Body.String()
+	if want := fmt.Sprintf(`selectsvc_errors_total{class="bad_request"} %d`, junk); !strings.Contains(body, want) {
+		t.Errorf("rejections not counted as %s", want)
+	}
+	var ds []Decision
+	if err := json.Unmarshal(do(t, h, "GET", "/decisions?n=1", nil).Body.Bytes(), &ds); err != nil || len(ds) != 1 {
+		t.Fatalf("decisions: %v (%d entries)", err, len(ds))
+	}
+	if ds[0].ErrorClass != "bad_request" || ds[0].Algo != fmt.Sprintf("junk-%d", junk-1) {
+		t.Errorf("last rejection not audited: %+v", ds[0])
+	}
+}
+
 // TestNoDataClass covers querying before the first poll: 503, useful
 // body, and the no_data error class.
 func TestNoDataClass(t *testing.T) {

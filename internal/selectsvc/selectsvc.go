@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -85,13 +86,13 @@ type Config struct {
 	// cluster-first quotient path of internal/hierarchy: the residual
 	// snapshot is partitioned into logical clusters once per (snapshot,
 	// ledger) epoch — cached like the plan cache — and requests inside
-	// the quotient path's proven-equivalent class are answered by the
-	// collapsed sweep, with everything else falling back to the flat
-	// path. Results are bit-identical either way; what changes is select
-	// latency on 10k+-node topologies. The per-round decision trace is
-	// not recorded for hierarchical selects (an installed observer would
-	// force the flat path), so /decisions entries carry the "hierarchy"
-	// field instead of a sweep trace.
+	// the class that runs grouped have core's sweep pre-merge each
+	// cluster into one vertex, with everything else running the same
+	// sweep ungrouped. Results are bit-identical either way; what changes
+	// is select latency on 10k+-node topologies. The per-round decision
+	// trace is not recorded for hierarchical selects (an installed
+	// observer runs ungrouped), so /decisions entries carry the
+	// "hierarchy" field instead of a sweep trace.
 	Hierarchy bool
 	// BatchWindow, when positive, routes leased selects through the
 	// epoch-batch admission pipeline: concurrent acquires queue for up to
@@ -720,6 +721,9 @@ func (s *Service) handleDecisions(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(s.audit.recent(n))
 }
 
+// algorithms are the names /select accepts.
+var algorithms = core.Algorithms()
+
 func (s *Service) handleSelect(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	ctx := r.Context()
@@ -771,6 +775,12 @@ func (s *Service) handleSelect(w http.ResponseWriter, r *http.Request) {
 	d.M = req.M
 	if req.Spec != nil {
 		d.Spec = req.Spec.Name
+	}
+	// The name becomes a metric label and a plan-cache key below; both
+	// outlive the request, so only known names get that far.
+	if !slices.Contains(algorithms, algo) {
+		fail(classBadRequest, fmt.Errorf("%w: unknown algorithm %q", core.ErrBadRequest, algo))
+		return
 	}
 	mode, err := s.parseMode(req.Mode)
 	if err != nil {
@@ -920,8 +930,8 @@ func (s *Service) handleSelect(w http.ResponseWriter, r *http.Request) {
 		}
 		// The sweep algorithms report their decision trace; the others
 		// have no sweep to trace. Hierarchical plain selects skip the
-		// observer — it would force the quotient path's flat fallback —
-		// and record which path answered instead.
+		// observer — a traced sweep runs ungrouped — and record which
+		// path answered instead.
 		useHier := s.cfg.Hierarchy && !leased &&
 			(algo == core.AlgoBalanced || algo == core.AlgoBandwidth)
 		var opts core.Options

@@ -1,5 +1,7 @@
 package topology
 
+import "sort"
+
 // Components returns the connected components of the graph considering only
 // links for which alive(linkID) reports true. A nil alive function means all
 // links are alive. Each component is a sorted slice of node IDs, and the
@@ -44,6 +46,26 @@ func (g *Graph) Components(alive func(linkID int) bool) [][]int {
 		out = append(out, members)
 	}
 	return out
+}
+
+// OrderLinks returns the IDs of links passing alive (nil means all),
+// sorted by ascending metric with ties broken by ascending link ID — the
+// exact removal order of the Figure 2/3 edge-deletion loop.
+func (g *Graph) OrderLinks(alive func(linkID int) bool, metric func(linkID int) float64) []int {
+	order := make([]int, 0, g.NumLinks())
+	for l := 0; l < g.NumLinks(); l++ {
+		if alive == nil || alive(l) {
+			order = append(order, l)
+		}
+	}
+	sort.Slice(order, func(i, j int) bool {
+		mi, mj := metric(order[i]), metric(order[j])
+		if mi != mj {
+			return mi < mj
+		}
+		return order[i] < order[j]
+	})
+	return order
 }
 
 // ComponentOf returns the sorted node IDs of the component containing start,
