@@ -108,11 +108,28 @@ hier:
 # for fig4_advisory, a remosd fleet) behind sockets under open-loop load,
 # one 22-second run per workload, each printing its metrics and exiting
 # nonzero on a failed correctness check. bench/ is a module of its own
-# that builds the daemons from this checkout into .bench_build/.
+# that builds the daemons from this checkout into .bench_build/. All four
+# workloads run whatever the earlier ones did — flat200_admit's closed loop
+# sits on the ledger's capacity edge and a saturation 409 there must not
+# hide tiered10k_hier — then one line per workload says what happened (from
+# the run's last JSON line, and bench/out/runs.json for the closed-loop
+# rate), and the target fails at the end if any run did.
+perf: SHELL := /bin/bash
 perf:
+	@set -o pipefail; mkdir -p .bench_build; rc=0; summary=; \
 	for w in fig4_advisory flat200_sweep flat200_admit tiered10k_hier; do \
-		bash bench/run.sh --workload $$w --seed 1 --seconds 22 --trace 0 || exit 1; \
-	done
+		log=.bench_build/perf_$$w.log; \
+		bash bench/run.sh --workload $$w --seed 1 --seconds 22 --trace 0 | tee $$log || rc=1; \
+		last=$$(grep '^{"attempted":' $$log | tail -1); \
+		if [ -z "$$last" ]; then summary+="$$w: no result (the run died before its checks)"$$'\n'; continue; fi; \
+		field() { sed -n "s/.*\"$$1\":\([a-z0-9]*\).*/\1/p" <<<"$$last"; }; \
+		metric() { sed -n "s/.*\"$$1\":{\"value\":\([^,}]*\).*/\1/p" <<<"$$last"; }; \
+		rps=$$(sed -n 's/.*"throughput_whole_phase_rps": *\([0-9.e+-]*\).*/\1/p' bench/out/runs.json | tail -1); \
+		summary+=$$(printf '%-15s correct=%s failed=%s/%s setup_s=%.3f peak_rss_mb=%.1f alloc_kb_per_req=%.1f allocs_per_req=%.0f throughput_whole_phase_rps=%.0f' \
+			$$w $$(field correct) $$(field failed) $$(field attempted) $$(metric setup_s) $$(metric peak_rss_mb) \
+			$$(metric alloc_kb_per_req) $$(metric allocs_per_req) $$rps)$$'\n'; \
+	done; \
+	printf '\n%s' "$$summary"; exit $$rc
 
 fmt:
 	gofmt -l -w $(shell $(GO) list -f '{{.Dir}}' ./...)

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"nodeselect/internal/topology"
 )
@@ -130,7 +131,9 @@ func BalancedOpt(s *topology.Snapshot, req Request, opts Options) (Result, error
 // candidate streams — values and order — cannot diverge. A non-nil memo
 // caches the pure pool-set -> (result, score, keep) evaluation across
 // components: consecutive components of the merge hierarchy usually
-// re-select the same top-CPU node set.
+// re-select the same top-CPU node set. The yielded Result carries its own
+// copy of the set only without a memo (the literal loop keeps it); with
+// one, the caller asks the memo for the one Result it returns.
 func poolCandidates(s *topology.Snapshot, cands []int, req Request, pinned map[int]bool,
 	balanced bool, priority float64, memo *poolMemo,
 	yield func(nodes []int, score float64, res Result)) {
@@ -143,7 +146,8 @@ func poolCandidates(s *topology.Snapshot, cands []int, req Request, pinned map[i
 		if memo != nil {
 			e = memo.evals[memo.eval(s, nodes, req, balanced, priority)]
 		} else {
-			e = evalPool(s, nodes, req, balanced, priority)
+			e = evalSorted(s, nodes, req, balanced, priority)
+			e.res.Nodes = slices.Clone(nodes)
 		}
 		if e.keep {
 			yield(nodes, e.score, e.res)
@@ -151,49 +155,84 @@ func poolCandidates(s *topology.Snapshot, cands []int, req Request, pinned map[i
 	}
 }
 
-// poolEval is the memoized outcome of scoring one concrete node set.
+// poolEval is the outcome of scoring one concrete node set. In a memo the
+// set itself is arena[lo:hi] and res.Nodes stays nil until result clones it
+// out; next chains the evaluations whose sets share a hash.
 type poolEval struct {
-	res   Result
-	score float64
-	keep  bool
+	res          Result
+	score        float64
+	keep         bool
+	lo, hi, next int32
 }
 
-// poolMemo memoizes evalPool by node set: index maps a set's
-// AppendNodeSetKey bytes to its evaluation in evals; key is the buffer
-// lookups encode into.
+// poolMemo memoizes evalSorted by node set. Every scored set's IDs lie in
+// one arena, so scoring a set allocates nothing: index maps the hash of a
+// set's IDs to the newest evaluation under that hash, a lookup confirms
+// against the arena and follows next on a mismatch. Only result hands a set
+// to a caller, as a copy.
 type poolMemo struct {
-	index map[string]int
+	index map[uint64]int32
 	evals []poolEval
-	key   []byte
+	arena []int
+}
+
+// hashNodes is FNV-1a over the IDs of a set.
+func hashNodes(nodes []int) uint64 {
+	h := uint64(14695981039346656037)
+	for _, id := range nodes {
+		h = (h ^ uint64(id)) * 1099511628211
+	}
+	return h
 }
 
 // eval returns the index in evals of one sorted node set's evaluation,
 // computing it on the first request.
 func (m *poolMemo) eval(s *topology.Snapshot, nodes []int, req Request, balanced bool, priority float64) int {
-	m.key = AppendNodeSetKey(m.key[:0], nodes)
-	i, ok := m.index[string(m.key)] // no allocation: the key is materialised only on insert
+	h := hashNodes(nodes)
+	head, ok := m.index[h]
 	if !ok {
-		i = len(m.evals)
-		m.evals = append(m.evals, evalPool(s, nodes, req, balanced, priority))
-		m.index[string(m.key)] = i
+		head = -1
 	}
-	return i
+	for i := head; i >= 0; i = m.evals[i].next {
+		if e := &m.evals[i]; slices.Equal(m.arena[e.lo:e.hi], nodes) {
+			return int(i)
+		}
+	}
+	e := evalSorted(s, nodes, req, balanced, priority)
+	e.lo, e.next = int32(len(m.arena)), head
+	m.arena = append(m.arena, nodes...)
+	e.hi = int32(len(m.arena))
+	m.evals = append(m.evals, e)
+	m.index[h] = int32(len(m.evals) - 1)
+	return len(m.evals) - 1
+}
+
+// result returns evaluation i's Result with its node set cloned out of the
+// arena. The clone is made once: the sweep's winner and, under an observer,
+// every round that shows the candidate share it.
+func (m *poolMemo) result(i int) Result {
+	e := &m.evals[i]
+	if e.res.Nodes == nil {
+		e.res.Nodes = slices.Clone(m.arena[e.lo:e.hi])
+	}
+	return e.res
 }
 
 // reset forgets every evaluation and drops the references to their Results.
 func (m *poolMemo) reset() {
 	clear(m.index)
 	clear(m.evals)
-	m.evals = m.evals[:0]
+	m.evals, m.arena = m.evals[:0], m.arena[:0]
 }
 
-// evalPool applies the latency ceiling, scores the set, and applies the
-// bandwidth floor — the pure per-candidate part of a sweep round.
-func evalPool(s *topology.Snapshot, nodes []int, req Request, balanced bool, priority float64) poolEval {
+// evalSorted applies the latency ceiling, scores the set (sorted by ID;
+// the Result carries no Nodes), and applies the bandwidth floor — the pure
+// per-candidate part of a sweep round.
+func evalSorted(s *topology.Snapshot, nodes []int, req Request, balanced bool, priority float64) poolEval {
 	if !pairLatencyOK(s, nodes, req) {
 		return poolEval{}
 	}
-	res := Score(s, nodes, req)
+	res := scoreSorted(s, nodes, req)
 	if req.MinBW > 0 && res.PairMinBW < req.MinBW {
 		return poolEval{}
 	}
@@ -204,21 +243,6 @@ func evalPool(s *topology.Snapshot, nodes []int, req Request, balanced bool, pri
 		score = res.PairMinBW
 	}
 	return poolEval{res: res, score: score, keep: true}
-}
-
-// AppendNodeSetKey appends the memo key of a sorted node-ID set to dst:
-// varint bytes, self-delimiting, so distinct sets cannot collide. Looking a
-// map up with string(key) does not allocate.
-func AppendNodeSetKey(dst []byte, nodes []int) []byte {
-	for _, id := range nodes {
-		v := uint(id)
-		for v >= 0x80 {
-			dst = append(dst, byte(v)|0x80)
-			v >>= 7
-		}
-		dst = append(dst, byte(v))
-	}
-	return dst
 }
 
 // referenceSweepSelect is the literal bottleneck-edge-deletion sweep behind

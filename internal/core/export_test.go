@@ -6,6 +6,7 @@ import "nodeselect/internal/topology"
 // need internal/hierarchy (package core's own tests cannot import it).
 var (
 	ReferenceSweepSelect = referenceSweepSelect
+	ScoreSorted          = scoreSorted
 	RandomTreeSnapshot   = randomTreeSnapshot
 	NodeName             = nodeName
 	Chain                = chain

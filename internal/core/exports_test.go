@@ -3,27 +3,60 @@ package core
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
 	"nodeselect/internal/topology"
 )
 
-// The memo key must be injective over sorted node sets — including IDs past
-// one varint byte, where a non-self-delimiting encoding would let {1, 128}
-// collide with another set — and must append to what dst already holds.
-func TestAppendNodeSetKey(t *testing.T) {
-	sets := [][]int{{}, {0}, {1}, {127}, {128}, {0, 128}, {1, 128}, {128, 129}, {16384}, {1, 2, 3}, {1, 2}, {300, 70000}}
-	seen := map[string]int{}
-	for i, set := range sets {
-		key := string(AppendNodeSetKey(nil, set))
-		if j, dup := seen[key]; dup {
-			t.Fatalf("sets %v and %v share key %q", sets[j], set, key)
-		}
-		seen[key] = i
+// The memo indexes sets by a hash of their IDs, so a lookup must confirm the
+// IDs against the arena and follow the chain on a mismatch: two sets forced
+// under one hash keep their own evaluations, a repeated set finds its first
+// one, and the one Nodes slice result hands out is a copy of the arena's.
+func TestPoolMemoConfirmsAgainstArena(t *testing.T) {
+	g := twoClusters(3, 10e6)
+	s := topology.NewSnapshot(g)
+	s.SetLoad(g.MustNode("n00"), 3)
+	a := []int{g.MustNode("n00"), g.MustNode("n01")}
+	b := []int{g.MustNode("n01"), g.MustNode("n04")}
+	m := poolMemo{index: map[uint64]int32{}}
+	eval := func(nodes []int) int { return m.eval(s, nodes, Request{M: 2}, true, 1) }
+
+	ia := eval(a)
+	m.index[hashNodes(b)] = int32(ia) // b now collides with a
+	ib := eval(b)
+	if ib == ia {
+		t.Fatalf("set %v was answered with the evaluation of %v: the lookup trusted the hash", b, a)
 	}
-	got := AppendNodeSetKey([]byte("x"), []int{5, 300})
-	if want := "x" + string(AppendNodeSetKey(nil, []int{5, 300})); string(got) != want {
-		t.Fatalf("append to non-empty dst = %q, want %q", got, want)
+	if got := eval(b); got != ib {
+		t.Fatalf("second lookup of %v = eval %d, want %d", b, got, ib)
+	}
+	m.index[hashNodes(a)] = int32(ib) // and a reaches its evaluation through b's chain
+	if got := eval(a); got != ia {
+		t.Fatalf("lookup of %v through the chain = eval %d, want %d", a, got, ia)
+	}
+	if len(m.evals) != 2 || len(m.arena) != 4 {
+		t.Fatalf("memo holds %d evaluations over %d IDs, want 2 over 4", len(m.evals), len(m.arena))
+	}
+	for _, c := range []struct {
+		set []int
+		i   int
+	}{{a, ia}, {b, ib}} {
+		got := m.result(c.i)
+		if want := Score(s, c.set, Request{M: 2}); !reflect.DeepEqual(got, want) {
+			t.Fatalf("result(%v) = %+v, want Score's %+v", c.set, got, want)
+		}
+		got.Nodes[0] = -1
+		if m.arena[m.evals[c.i].lo] == -1 {
+			t.Fatalf("result(%v) handed out the arena itself", c.set)
+		}
+		if again := m.result(c.i); &again.Nodes[0] != &got.Nodes[0] {
+			t.Fatalf("result(%v) cloned the set twice", c.set)
+		}
+	}
+	m.reset()
+	if len(m.index) != 0 || len(m.evals) != 0 || len(m.arena) != 0 {
+		t.Fatalf("reset left %d index entries, %d evaluations, %d IDs", len(m.index), len(m.evals), len(m.arena))
 	}
 }
 

@@ -25,6 +25,12 @@
 // equivalence test compares against and as what the paper-literal
 // ablations (Options.PaperEarlyStop, PaperSingleEdgeRemoval) run.
 //
+// Score measures one concrete node set and returns it sorted in the Result.
+// The sweep scores the many sets it enumerates where they lie — IDs in one
+// arena of its pooled working set, scoreSorted over them, no Result.Nodes —
+// and copies a set out for the winner, and for each candidate an
+// Options.Observer records, only.
+//
 // The generalizations of §3.3 are supported through Request: heterogeneous
 // links (reference capacity) and nodes (relative speeds), prioritization of
 // computation versus communication, fixed bandwidth/CPU floors, restricted

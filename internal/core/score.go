@@ -14,15 +14,24 @@ import (
 // minresource. Score does not check floors or eligibility; it measures what
 // the set actually gets.
 func Score(s *topology.Snapshot, nodes []int, req Request) Result {
+	sorted := append([]int(nil), nodes...)
+	sort.Ints(sorted)
+	res := scoreSorted(s, sorted, req)
+	res.Nodes = sorted
+	return res
+}
+
+// scoreSorted is Score over a set already in ascending ID order, without
+// the copy: the Result's Nodes is left nil and nothing is allocated, so the
+// sweep can score the sets it enumerates where they lie.
+func scoreSorted(s *topology.Snapshot, nodes []int, req Request) Result {
 	res := Result{
-		Nodes:          append([]int(nil), nodes...),
 		MinCPU:         math.Inf(1),
 		PairMinBW:      math.Inf(1),
 		MinBWFactor:    math.Inf(1),
 		BottleneckLink: -1,
 	}
-	sort.Ints(res.Nodes)
-	for _, id := range res.Nodes {
+	for _, id := range nodes {
 		if cpu := s.EffectiveCPU(id); cpu < res.MinCPU {
 			res.MinCPU = cpu
 		}
@@ -30,9 +39,9 @@ func Score(s *topology.Snapshot, nodes []int, req Request) Result {
 	// Pairwise bottleneck over static routes. For the fraction we take,
 	// per link on each route, availbw divided by the reference capacity
 	// (or the link's own capacity when no reference is set), and minimize.
-	for i := 0; i < len(res.Nodes); i++ {
-		for j := i + 1; j < len(res.Nodes); j++ {
-			a, b := res.Nodes[i], res.Nodes[j]
+	for i := 0; i < len(nodes); i++ {
+		for j := i + 1; j < len(nodes); j++ {
+			a, b := nodes[i], nodes[j]
 			lat := 0.0
 			s.Graph.WalkRoute(a, b, func(lid int) {
 				bw := s.AvailBW[lid]
@@ -50,7 +59,7 @@ func Score(s *topology.Snapshot, nodes []int, req Request) Result {
 			}
 		}
 	}
-	if len(res.Nodes) == 0 {
+	if len(nodes) == 0 {
 		res.MinCPU = 0
 	}
 	res.MinResource = math.Min(res.MinCPU, req.Priority()*res.MinBWFactor)

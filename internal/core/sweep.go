@@ -112,9 +112,10 @@ type component struct {
 }
 
 // scratch is one sweep's working set. It is pooled, so a warmed select
-// allocates little beyond the Results it scores and their memo keys;
-// nothing in it outlives a request except capacity, every field is
-// re-initialised by the next one, and nothing handed to a caller aliases it.
+// allocates little beyond the winner's node set (and, under an observer,
+// the trace); nothing in it outlives a request except capacity, every field
+// is re-initialised by the next one, and nothing handed to a caller aliases
+// it — the memo's arena holds every scored set and hands out copies.
 // The pool still misses now and then (about one request in 25 in selectd),
 // and a fresh scratch grows every buffer from nothing, so what it holds per
 // vertex, edge and record is kept small.
@@ -138,7 +139,7 @@ type scratch struct {
 }
 
 var scratchPool = sync.Pool{New: func() any {
-	return &scratch{memo: poolMemo{index: make(map[string]int)}}
+	return &scratch{memo: poolMemo{index: make(map[uint64]int32)}}
 }}
 
 // reset returns every owned top buffer to the free list and drops the
@@ -548,7 +549,7 @@ func (sc *scratch) sweep(s *topology.Snapshot, req Request, opts Options, balanc
 	if best < 0 {
 		return Result{}, errNoComponent(req.M)
 	}
-	return sc.memo.evals[recs[best].tag].res, nil
+	return sc.memo.result(int(recs[best].tag)), nil
 }
 
 // replaySweep reconstructs the reference implementation's SweepStep
@@ -584,7 +585,7 @@ func (sc *scratch) replaySweep(observer func(SweepStep)) {
 			case len(pools) > 0:
 				cands = append(cands, pools[i]...)
 			default:
-				cands = append(cands, SweepCandidate{Nodes: sc.memo.evals[c.tag].res.Nodes, Score: c.score})
+				cands = append(cands, SweepCandidate{Nodes: sc.memo.result(int(c.tag)).Nodes, Score: c.score})
 			}
 		}
 		sc.cands = cands

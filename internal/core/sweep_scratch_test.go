@@ -99,10 +99,29 @@ func (c reuseCase) check(o outcome) error {
 	return nil
 }
 
+// scribble overwrites every node set the outcome holds — the result's and
+// each recorded candidate's — through to the end of its backing array.
+func (o outcome) scribble() {
+	fill := func(nodes []int) {
+		nodes = nodes[:cap(nodes)]
+		for i := range nodes {
+			nodes[i] = -7
+		}
+	}
+	fill(o.res.Nodes)
+	for _, st := range o.steps {
+		for _, cand := range st.Candidates {
+			fill(cand.Nodes)
+		}
+	}
+}
+
 // runStream answers the cases in order and holds each answer to the
 // oracle's; after every request it also checks that the previous one's
 // result and trace — which an audit ring or plan cache would still hold —
-// have not changed under it.
+// have not changed under it, and that they share no backing array with this
+// one's: a sentinel written through every node set of the previous answer
+// must not show up in the new one.
 func runStream(cases []reuseCase, order func(i int) int, sweep sweepFn) error {
 	var prev, prevCopy outcome
 	for i := range cases {
@@ -113,6 +132,10 @@ func runStream(cases []reuseCase, order func(i int) int, sweep sweepFn) error {
 		}
 		if !reflect.DeepEqual(prev, prevCopy) {
 			return fmt.Errorf("%s: the previous request's result or trace changed while this one ran", c.tag)
+		}
+		prev.scribble()
+		if err := c.check(o); err != nil {
+			return fmt.Errorf("%s: shares a node set with the previous request's answer: %w", c.tag, err)
 		}
 		prev, prevCopy = o, o.clone()
 	}
@@ -268,29 +291,16 @@ func TestScratchReuseExplicitCases(t *testing.T) {
 }
 
 // flat200 is the benchmark's flat200_sweep / flat200_admit input: the
-// 211-node multicluster with about a third of the nodes loaded and a third
-// of the links partly used (bench/workload.go's loadedSnapshot and seed).
+// 211-node multicluster under the benchmark's load.
 func flat200() *topology.Snapshot {
-	g := testbed.MultiCluster(10, 20, testbed.Ethernet100, testbed.Ethernet100)
-	src := randx.New(1).Split("snapshot")
-	s := topology.NewSnapshot(g)
-	for _, id := range g.ComputeNodes() {
-		if src.Float64() < 0.35 {
-			s.SetLoad(id, src.Uniform(0.5, 4))
-		}
-	}
-	for l := 0; l < g.NumLinks(); l++ {
-		if src.Float64() < 0.35 {
-			s.SetUtilization(l, src.Uniform(0.2, 0.95))
-		}
-	}
-	return s
+	return testbed.BenchSnapshot(testbed.MultiCluster(10, 20, testbed.Ethernet100, testbed.Ethernet100))
 }
 
 // TestFlatSelectAllocs is TestQuotientSelectAllocs' ungrouped twin: a
 // warmed, unobserved select on the benchmark's 211-node input stays under
-// 100 allocations (~30 measured: the Results it scores and their memo keys;
-// a sweep that rebuilds its working set per request makes ~700).
+// 100 allocations (1 measured, the winner's node set; a Result and a key
+// string per scored set make ~30, a sweep that rebuilds its working set per
+// request ~700).
 func TestFlatSelectAllocs(t *testing.T) {
 	s := flat200()
 	if got := s.Graph.NumNodes(); got != 211 {

@@ -121,6 +121,10 @@ type sample struct {
 // the last-good estimate rather than an optimistic idle link — and the
 // entity's age is tracked for Health, Freshness and the MaxStaleAge
 // ceiling.
+//
+// Health and Freshness are properties of a poll: nothing they are computed
+// from changes between two polls, so PollCtx computes them once and the
+// accessors return what it stored.
 type Collector struct {
 	src     Source
 	cfg     CollectorConfig
@@ -145,6 +149,11 @@ type Collector struct {
 	// from different clocks, so the larger bound wins.
 	nodeSrcAge []float64
 	linkSrcAge []float64
+
+	// The latest poll's Freshness and the Health summarizing it. A poll
+	// publishes new age arrays and never writes to the ones it replaces.
+	fresh  Freshness
+	health Health
 }
 
 // NewCollector builds a collector over src. Call Poll (or Start, to attach
@@ -162,6 +171,8 @@ func NewCollector(src Source, cfg CollectorConfig) *Collector {
 		linkRateBG: make([]float64, g.NumLinks()),
 		nodeSrcAge: make([]float64, g.NumNodes()),
 		linkSrcAge: make([]float64, g.NumLinks()),
+		fresh:      Freshness{NodeAge: make([]float64, g.NumNodes()), LinkAge: make([]float64, g.NumLinks())},
+		health:     Health{State: HealthStale},
 	}
 }
 
@@ -213,6 +224,8 @@ func (c *Collector) PollCtx(ctx context.Context) {
 		c.samples = c.samples[1:]
 	}
 	c.polls++
+	c.fresh = c.freshnessNow()
+	c.health = c.healthOf(c.fresh)
 	if m := c.metrics; m != nil {
 		m.Polls.Inc()
 		m.PollSeconds.Observe(c.clock.Now().Sub(t0).Seconds())
@@ -222,7 +235,7 @@ func (c *Collector) PollCtx(ctx context.Context) {
 		if c.degraded {
 			m.DegradedPolls.Inc()
 		}
-		h := c.Health()
+		h := c.health
 		m.StaleNodes.Set(float64(h.StaleNodes))
 		m.DegradedNodes.Set(float64(h.DegradedNodes))
 		m.StaleLinks.Set(float64(h.StaleLinks))
@@ -321,13 +334,33 @@ func (c *Collector) linkAge(link int) float64 {
 	return math.Max(c.linkSrcAge[link], c.entityAge(c.linkSince[link]))
 }
 
-// Health summarizes the freshness of the collector's current view.
-func (c *Collector) Health() Health {
-	var h Health
-	if c.polls == 0 {
-		h.State = HealthStale
-		return h
+// Health summarizes the freshness of the collector's view as of the latest
+// poll (HealthStale before the first).
+func (c *Collector) Health() Health { return c.health }
+
+// Freshness reports the per-entity measurement ages as of the latest poll.
+// The arrays are shared by every caller of one poll epoch and read-only: a
+// later poll publishes new ones, so a reader keeps the epoch it started in.
+func (c *Collector) Freshness() Freshness { return c.fresh }
+
+// freshnessNow builds the age arrays of the current bookkeeping.
+func (c *Collector) freshnessNow() Freshness {
+	f := Freshness{
+		NodeAge: make([]float64, c.graph.NumNodes()),
+		LinkAge: make([]float64, c.graph.NumLinks()),
 	}
+	for i := range f.NodeAge {
+		f.NodeAge[i] = c.nodeAge(i)
+	}
+	for l := range f.LinkAge {
+		f.LinkAge[l] = c.linkAge(l)
+	}
+	return f
+}
+
+// healthOf summarizes the current bookkeeping, whose ages are f.
+func (c *Collector) healthOf(f Freshness) Health {
+	var h Health
 	max := c.cfg.MaxStaleAge
 	// An entity read live at the latest poll counts fresh even when its
 	// source-reported base age is nonzero (a gossiped reading is always a
@@ -350,7 +383,7 @@ func (c *Collector) Health() Health {
 		if c.graph.Node(i).Kind != topology.Compute {
 			continue
 		}
-		switch classify(c.nodeSince[i], c.nodeAge(i)) {
+		switch classify(c.nodeSince[i], f.NodeAge[i]) {
 		case 0:
 			h.FreshNodes++
 		case 1:
@@ -360,7 +393,7 @@ func (c *Collector) Health() Health {
 		}
 	}
 	for l := 0; l < c.graph.NumLinks(); l++ {
-		switch classify(c.linkSince[l], c.linkAge(l)) {
+		switch classify(c.linkSince[l], f.LinkAge[l]) {
 		case 0:
 			h.FreshLinks++
 		case 1:
@@ -383,21 +416,6 @@ func (c *Collector) Health() Health {
 		h.State = HealthDegraded
 	}
 	return h
-}
-
-// Freshness reports the per-entity measurement ages of the current view.
-func (c *Collector) Freshness() Freshness {
-	f := Freshness{
-		NodeAge: make([]float64, c.graph.NumNodes()),
-		LinkAge: make([]float64, c.graph.NumLinks()),
-	}
-	for i := range f.NodeAge {
-		f.NodeAge[i] = c.nodeAge(i)
-	}
-	for l := range f.LinkAge {
-		f.LinkAge[l] = c.linkAge(l)
-	}
-	return f
 }
 
 // Start attaches the collector to a simulation engine, polling every

@@ -88,7 +88,8 @@ type Health struct {
 
 // Freshness reports per-entity measurement age in seconds: 0 means the
 // entity was read live at the latest poll; a never-read entity ages from
-// the collector's start.
+// the collector's start. A Freshness returned by a Collector shares its
+// arrays with every other caller of the same poll epoch: read-only.
 type Freshness struct {
 	NodeAge []float64 `json:"node_age"`
 	LinkAge []float64 `json:"link_age"`

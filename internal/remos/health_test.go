@@ -2,8 +2,12 @@ package remos
 
 import (
 	"errors"
+	"math"
+	"slices"
 	"testing"
 
+	"nodeselect/internal/randx"
+	"nodeselect/internal/testbed"
 	"nodeselect/internal/topology"
 )
 
@@ -227,5 +231,104 @@ func TestNoFreshnessReporterIsAlwaysFresh(t *testing.T) {
 	}
 	if _, err := c.Snapshot(Window, false); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// agedSource is a flakySource whose readings also carry an age of their
+// own, as the gossip snapshot source's do.
+type agedSource struct {
+	*flakySource
+	nodeAge, linkAge []float64
+}
+
+func (a *agedSource) NodeAgeSeconds(n int) float64 { return a.nodeAge[n] }
+func (a *agedSource) LinkAgeSeconds(l int) float64 { return a.linkAge[l] }
+
+// TestStoredHealthEqualsRecomputed pins the per-poll contract: Health and
+// Freshness are computed when a poll changes their inputs and stored, so
+// after every poll of a seeded schedule — nodes and links failing,
+// recovering, reporting ages of their own and ageing past MaxStaleAge — the
+// stored values equal a recomputation from the collector's bookkeeping,
+// field for field and entry for entry; reads between polls return the same
+// arrays; and a poll publishes new arrays instead of rewriting the ones an
+// in-flight reader still holds.
+func TestStoredHealthEqualsRecomputed(t *testing.T) {
+	g := testbed.MultiCluster(3, 4, testbed.Ethernet100, 1e9)
+	src := &agedSource{newFlakySource(g), make([]float64, g.NumNodes()), make([]float64, g.NumLinks())}
+	c := NewCollector(src, CollectorConfig{Period: 1, History: 8, MaxStaleAge: 4})
+	if h := c.Health(); h.State != HealthStale || h != (Health{State: HealthStale}) {
+		t.Fatalf("unpolled health = %+v, want bare stale", h)
+	}
+	if f := c.Freshness(); len(f.NodeAge) != g.NumNodes() || len(f.LinkAge) != g.NumLinks() {
+		t.Fatalf("unpolled freshness sized %d/%d", len(f.NodeAge), len(f.LinkAge))
+	}
+
+	rng := randx.New(23)
+	compute := g.ComputeNodes()
+	seen := map[string]bool{}
+	for poll := 0; poll < 60; poll++ {
+		// Fail and repair a few entities, and let a few report an age of
+		// their own (sometimes past the ceiling, sometimes nonsense).
+		for k := 0; k < 3; k++ {
+			n, l := compute[rng.Intn(len(compute))], rng.Intn(g.NumLinks())
+			switch rng.Intn(4) {
+			case 0:
+				src.failNode(n)
+				src.failLink(l)
+			case 1:
+				src.nodeOK[n], src.linkOK[l] = true, true
+			case 2:
+				src.nodeAge[n], src.linkAge[l] = rng.Float64()*6, rng.Float64()*6
+			case 3:
+				src.nodeAge[n], src.linkAge[l] = math.Inf(1), 0
+			}
+		}
+		if poll == 40 {
+			src.repair()
+			clear(src.nodeAge)
+			clear(src.linkAge)
+		}
+		held := c.Freshness()
+		heldCopy := Freshness{slices.Clone(held.NodeAge), slices.Clone(held.LinkAge)}
+		src.Advance(1)
+		c.Poll()
+
+		got, fresh := c.Health(), c.Freshness()
+		want := c.freshnessNow()
+		if !slices.Equal(fresh.NodeAge, want.NodeAge) || !slices.Equal(fresh.LinkAge, want.LinkAge) {
+			t.Fatalf("poll %d: stored ages differ from recomputed:\nnodes %v\n want %v\nlinks %v\n want %v",
+				poll, fresh.NodeAge, want.NodeAge, fresh.LinkAge, want.LinkAge)
+		}
+		if wantH := c.healthOf(want); got != wantH {
+			t.Fatalf("poll %d: stored health %+v, recomputed %+v", poll, got, wantH)
+		}
+		// The summary agrees with the arrays it was built from.
+		stale, maxAge := 0, math.Max(slices.Max(fresh.NodeAge), slices.Max(fresh.LinkAge))
+		for _, id := range compute {
+			if fresh.NodeAge[id] > 4 {
+				stale++
+			}
+		}
+		if got.StaleNodes != stale || got.MaxAgeSeconds != maxAge {
+			t.Fatalf("poll %d: health %+v against %d stale nodes, max age %v in the arrays", poll, got, stale, maxAge)
+		}
+		seen[got.State] = true
+		if stale > 0 {
+			seen["a stale node"] = true
+		}
+
+		again := c.Freshness()
+		if &again.NodeAge[0] != &fresh.NodeAge[0] || &again.LinkAge[0] != &fresh.LinkAge[0] || c.Health() != got {
+			t.Fatalf("poll %d: two reads between polls returned different values", poll)
+		}
+		if &held.NodeAge[0] == &fresh.NodeAge[0] || &held.LinkAge[0] == &fresh.LinkAge[0] {
+			t.Fatalf("poll %d: the poll reused the arrays of the epoch before it", poll)
+		}
+		if !slices.Equal(held.NodeAge, heldCopy.NodeAge) || !slices.Equal(held.LinkAge, heldCopy.LinkAge) {
+			t.Fatalf("poll %d: the poll rewrote the arrays of the epoch before it", poll)
+		}
+	}
+	if !seen[HealthOK] || !seen[HealthDegraded] || !seen["a stale node"] {
+		t.Fatalf("schedule visited %v: want ok, degraded and a node past the ceiling", seen)
 	}
 }

@@ -9,6 +9,12 @@
 // implementation of the real Remos system. Queries can be answered from
 // the latest sample, from a fixed window of history, or from a simple
 // forecast, matching the three collection modes the paper describes.
+//
+// The collector polls on a period and answers from what it collected: a
+// Snapshot is assembled per query, but Health and Freshness are per-poll
+// values, computed by the poll that changes them and returned as stored.
+// The Freshness age arrays are shared by every caller of one poll epoch —
+// read them, never write; the next poll publishes new arrays.
 package remos
 
 import (

@@ -2,6 +2,7 @@ package selectsvc
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"reflect"
 	"testing"
@@ -164,5 +165,62 @@ func TestHierarchyPartitionEpochCache(t *testing.T) {
 	do(t, h, "POST", "/select", SelectRequest{M: 4, Algo: "balanced"})
 	if got := builds(); got != 3 {
 		t.Fatalf("builds after poll = %v, want 3", got)
+	}
+}
+
+// TestHierarchyPartitionKeyedOnMode is the regression for two query modes
+// sharing one partition within an epoch: the partition ranks each cluster's
+// members by the CPU of the snapshot it was built from, so a window-mode
+// build (n2 still loaded on average) handed to a current-mode select (n2
+// now idle) hides the best node of every cluster. Each mode gets the
+// partition of its own snapshot, and both answer what a flat service does.
+func TestHierarchyPartitionKeyedOnMode(t *testing.T) {
+	build := func(hierOn bool) *Service {
+		g := testbed.MultiCluster(4, 6, testbed.Ethernet100, 1e9)
+		src := remos.NewStaticSource(g)
+		node := func(c, n int) int { return g.MustNode(fmt.Sprintf("c%d-n%d", c, n)) }
+		for c := 1; c <= 4; c++ {
+			src.SetLoad(node(c, 1), 2.5)
+			src.SetLoad(node(c, 2), 6)
+		}
+		svc := New(src, Config{DefaultMode: remos.Window, Seed: 1, Hierarchy: hierOn})
+		if err := svc.Poll(); err != nil {
+			t.Fatal(err)
+		}
+		src.Advance(2)
+		for c := 1; c <= 4; c++ {
+			src.SetLoad(node(c, 2), 0)
+			for n := 3; n <= 6; n++ {
+				src.SetLoad(node(c, n), 1)
+			}
+		}
+		if err := svc.Poll(); err != nil {
+			t.Fatal(err)
+		}
+		return svc
+	}
+	hier, flat := build(true), build(false)
+	for _, mode := range []string{"window", "current"} {
+		req := SelectRequest{M: 3, Algo: "balanced", Mode: mode}
+		var hresp, fresp SelectResponse
+		for svc, resp := range map[*Service]*SelectResponse{hier: &hresp, flat: &fresp} {
+			w := do(t, svc.Handler(), "POST", "/select", req)
+			if w.Code != http.StatusOK {
+				t.Fatalf("mode %s: status %d: %s", mode, w.Code, w.Body)
+			}
+			if err := json.Unmarshal(w.Body.Bytes(), resp); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !reflect.DeepEqual(hresp.Nodes, fresp.Nodes) || hresp.MinResource != fresp.MinResource {
+			t.Fatalf("mode %s: hierarchical %v (min_resource %v), flat %v (%v)",
+				mode, hresp.Nodes, hresp.MinResource, fresp.Nodes, fresp.MinResource)
+		}
+		if d := latestDecision(t, hier); d.Hierarchy != "quotient" {
+			t.Fatalf("mode %s: decision hierarchy = %q, want quotient", mode, d.Hierarchy)
+		}
+	}
+	if got := hier.metrics.hierPartitionBuilds.Value(); got != 2 {
+		t.Fatalf("partition builds = %v, want one per mode", got)
 	}
 }

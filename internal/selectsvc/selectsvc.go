@@ -616,7 +616,9 @@ func (s *Service) parseMode(name string) (remos.Mode, error) {
 // the freshness view it was computed under and the poll counter the
 // snapshot was derived from. The poll counter is read under the same lock
 // as the snapshot so the plan cache's epoch can never pair a stale
-// snapshot with a newer counter.
+// snapshot with a newer counter. Health and freshness are the values the
+// latest poll stored — O(1) here — and the age arrays are that poll's,
+// shared with every other request of the epoch: read them, never write.
 func (s *Service) snapshotFor(mode remos.Mode) (*topology.Snapshot, remos.Health, remos.Freshness, int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1011,7 +1013,7 @@ func (s *Service) handleSelect(w http.ResponseWriter, r *http.Request) {
 					// and cluster uniformity must hold in the measurements
 					// the sweep actually scores against.
 					residual := s.ledger.Residual(snap)
-					part := s.partitionFor(epoch, residual)
+					part := s.partitionFor(epoch, mode, residual)
 					creq := base
 					if demand.CPU > creq.MinCPU {
 						creq.MinCPU = demand.CPU

@@ -113,3 +113,24 @@ func RandomTwoTier(src *randx.Source, nSwitch, nClusters, leavesPer int) *topolo
 	}
 	return s
 }
+
+// BenchSnapshot paints g the way the end-to-end benchmark paints every
+// workload's input (bench/workload.go: loadedSnapshot under snapshotSeed 1):
+// about a third of the compute nodes loaded and a third of the links partly
+// used. Tests that guard what a benchmark workload costs build their input
+// with it, so the guard and the workload walk the same tiers.
+func BenchSnapshot(g *topology.Graph) *topology.Snapshot {
+	src := randx.New(1).Split("snapshot")
+	s := topology.NewSnapshot(g)
+	for _, id := range g.ComputeNodes() {
+		if src.Float64() < 0.35 {
+			s.SetLoad(id, src.Uniform(0.5, 4))
+		}
+	}
+	for l := 0; l < g.NumLinks(); l++ {
+		if src.Float64() < 0.35 {
+			s.SetUtilization(l, src.Uniform(0.2, 0.95))
+		}
+	}
+	return s
+}
