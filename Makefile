@@ -98,7 +98,7 @@ admit:
 # tiered10k_hier workload to say.
 HIER_MIN_QUALITY ?= 0.95
 hier:
-	$(GO) test -race ./internal/core -run='Equivalence|ScratchReuse' -v
+	$(GO) test -race ./internal/core -run='Equivalence|Scratch' -v
 	$(GO) test -race ./internal/hierarchy -v
 	$(GO) test -race ./internal/selectsvc -run='Hierarchy' -v
 	$(GO) run ./cmd/expt -run hier -hier-out hier.json
@@ -113,7 +113,8 @@ hier:
 # sits on the ledger's capacity edge and a saturation 409 there must not
 # hide tiered10k_hier — then one line per workload says what happened (from
 # the run's last JSON line, and bench/out/runs.json for the closed-loop
-# rate), and the target fails at the end if any run did.
+# rate, the collections selectd ran and the whole-phase p99), and the target
+# fails at the end if any run did.
 perf: SHELL := /bin/bash
 perf:
 	@set -o pipefail; mkdir -p .bench_build; rc=0; summary=; \
@@ -124,10 +125,11 @@ perf:
 		if [ -z "$$last" ]; then summary+="$$w: no result (the run died before its checks)"$$'\n'; continue; fi; \
 		field() { sed -n "s/.*\"$$1\":\([a-z0-9]*\).*/\1/p" <<<"$$last"; }; \
 		metric() { sed -n "s/.*\"$$1\":{\"value\":\([^,}]*\).*/\1/p" <<<"$$last"; }; \
-		rps=$$(sed -n 's/.*"throughput_whole_phase_rps": *\([0-9.e+-]*\).*/\1/p' bench/out/runs.json | tail -1); \
-		summary+=$$(printf '%-15s correct=%s failed=%s/%s setup_s=%.3f peak_rss_mb=%.1f alloc_kb_per_req=%.1f allocs_per_req=%.0f throughput_whole_phase_rps=%.0f' \
+		info() { sed -n "s/.*\"$$1\": *\([0-9.e+-]*\).*/\1/p" bench/out/runs.json | tail -1; }; \
+		summary+=$$(printf '%-15s correct=%s failed=%s/%s setup_s=%.3f peak_rss_mb=%.1f alloc_kb_per_req=%.1f allocs_per_req=%.0f throughput_whole_phase_rps=%.0f gc_cycles=%.0f select_p99_whole_phase_ms=%.1f' \
 			$$w $$(field correct) $$(field failed) $$(field attempted) $$(metric setup_s) $$(metric peak_rss_mb) \
-			$$(metric alloc_kb_per_req) $$(metric allocs_per_req) $$rps)$$'\n'; \
+			$$(metric alloc_kb_per_req) $$(metric allocs_per_req) $$(info throughput_whole_phase_rps) \
+			$$(info gc_cycles) $$(info select_p99_whole_phase_ms))$$'\n'; \
 	done; \
 	printf '\n%s' "$$summary"; exit $$rc
 

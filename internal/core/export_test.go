@@ -12,8 +12,15 @@ var (
 	Chain                = chain
 )
 
-// NewScratchSweep returns Sweep bound to one private scratch instead of the
-// pool, so a test decides which requests share a working set.
+// NewScratchSweep returns Sweep bound to one private scratch instead of a
+// parked one, so a test decides which requests share a working set.
 func NewScratchSweep() func(*topology.Snapshot, Request, Options, bool, *Grouping) (Result, error) {
-	return scratchPool.New().(*scratch).sweep
+	return newScratch().sweep
+}
+
+// ParkedScratches returns how many working sets are parked.
+func ParkedScratches() int {
+	scratches.Lock()
+	defer scratches.Unlock()
+	return len(scratches.parked)
 }

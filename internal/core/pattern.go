@@ -211,8 +211,8 @@ func BalancedPattern(s *topology.Snapshot, req Request, pattern Pattern) (Patter
 		res, err := Balanced(s, req)
 		return PatternResult{Result: res, Master: -1}, err
 	}
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc)
+	sc := getScratch()
+	defer putScratch(sc)
 	defer sc.reset()
 
 	// One pool per component: its best-CPU m members, pinned first. The

@@ -238,8 +238,8 @@ func (r Request) validate(s *topology.Snapshot) ([]int, error) {
 	}
 	pinned := r.pinnedSet()
 	var eligible []int
-	for _, id := range s.Graph.ComputeNodes() {
-		if pinned[id] || r.admits(s, id) {
+	for id := range s.Graph.Nodes() {
+		if s.Graph.Node(id).Kind == topology.Compute && (pinned[id] || r.admits(s, id)) {
 			eligible = append(eligible, id)
 		}
 	}

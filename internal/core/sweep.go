@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"sync"
 
@@ -42,11 +43,14 @@ type Grouping struct {
 // NewGrouping indexes groups over g. The groups must be disjoint.
 func NewGrouping(g *topology.Graph, groups []Group) *Grouping {
 	gr := &Grouping{graph: g, groups: groups, vertex: make([]int, g.NumNodes())}
+	grouped := 0
 	for j := range groups {
+		grouped += len(groups[j].Members)
 		for _, id := range groups[j].Members {
 			gr.vertex[id] = -1
 		}
 	}
+	gr.loose = make([]int, 0, g.NumNodes()-grouped)
 	for id := range gr.vertex {
 		if gr.vertex[id] >= 0 {
 			gr.vertex[id] = len(gr.loose)
@@ -111,14 +115,15 @@ type component struct {
 	score                    float64
 }
 
-// scratch is one sweep's working set. It is pooled, so a warmed select
-// allocates little beyond the winner's node set (and, under an observer,
-// the trace); nothing in it outlives a request except capacity, every field
-// is re-initialised by the next one, and nothing handed to a caller aliases
-// it — the memo's arena holds every scored set and hands out copies.
-// The pool still misses now and then (about one request in 25 in selectd),
-// and a fresh scratch grows every buffer from nothing, so what it holds per
-// vertex, edge and record is kept small.
+// scratch is one sweep's working set. Nothing in it outlives a request
+// except capacity: every field is re-initialised by the next one, and nothing
+// handed to a caller aliases it — the memo's arena holds every scored set and
+// hands out copies. A finished sweep parks it on scratches, so a warmed
+// select allocates little beyond the winner's node set (and, under an
+// observer, the trace): the buffers are grown once, to the largest graph and
+// m served, and kept — a cold 10k-node grouped scratch is ≈ 1.3 MB retained
+// for ≈ 3.5 MB of append-doubling, which is why no request should pay for it
+// twice and why what it holds per vertex, edge and record is kept small.
 type scratch struct {
 	verts []vertex
 	// free holds released own-buffers, each of capacity bufCap.
@@ -138,9 +143,41 @@ type scratch struct {
 	cands   []SweepCandidate // and one round's candidates before they are copied out
 }
 
-var scratchPool = sync.Pool{New: func() any {
+// scratches parks finished sweeps' working sets, last in first out: the one
+// grown most recently is the next taken, by whichever goroutine asks, and —
+// unlike the runtime's per-P pools — no garbage collection empties it.
+// putScratch keeps at most GOMAXPROCS (more sweeps cannot run at once) and
+// drops the rest, so it retains that many scratches at the high-water mark
+// of the graphs swept.
+var scratches struct {
+	sync.Mutex
+	parked []*scratch
+}
+
+func newScratch() *scratch {
 	return &scratch{memo: poolMemo{index: make(map[uint64]int32)}}
-}}
+}
+
+func getScratch() *scratch {
+	scratches.Lock()
+	defer scratches.Unlock()
+	n := len(scratches.parked)
+	if n == 0 {
+		return newScratch()
+	}
+	sc := scratches.parked[n-1]
+	scratches.parked[n-1] = nil
+	scratches.parked = scratches.parked[:n-1]
+	return sc
+}
+
+func putScratch(sc *scratch) {
+	scratches.Lock()
+	defer scratches.Unlock()
+	if len(scratches.parked) < runtime.GOMAXPROCS(0) {
+		scratches.parked = append(scratches.parked, sc)
+	}
+}
 
 // reset returns every owned top buffer to the free list and drops the
 // references to the finished request's results.
@@ -491,8 +528,8 @@ func Sweep(s *topology.Snapshot, req Request, opts Options, balanced bool, gr *G
 	if opts.PaperEarlyStop || opts.PaperSingleEdgeRemoval {
 		return referenceSweepSelect(s, req, opts, balanced)
 	}
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc)
+	sc := getScratch()
+	defer putScratch(sc)
 	return sc.sweep(s, req, opts, balanced, gr)
 }
 

@@ -3,6 +3,7 @@ package core_test
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -318,5 +319,71 @@ func TestFlatSelectAllocs(t *testing.T) {
 	run() // warm the scratch and the graph's route table
 	if avg := testing.AllocsPerRun(40, run); avg > 100 {
 		t.Fatalf("warmed ungrouped select: %.0f allocations per run, want ≤ 100", avg)
+	}
+}
+
+// TestScratchSurvivesGC: a working set grown by one select is still there
+// for the next after the heap has been collected, whichever goroutine asks.
+// On the benchmark's 10 101-node input a grouped select after two
+// collections, from a goroutine that never swept, stays under 300
+// allocations and 64 KB (1 and 0.5 measured); regrowing the scratch allocates
+// ≈ 3.5 MB, which a sync.Pool charged to whoever came after a collection.
+func TestScratchSurvivesGC(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 10k-node topology")
+	}
+	s := testbed.BenchSnapshot(testbed.MultiCluster(100, 100, testbed.Ethernet100, 1e9))
+	p := hierarchy.Build(s)
+	sel := func() {
+		if _, path, err := hierarchy.Select(AlgoBalanced, s, p, Request{M: 64}, nil, Options{}); err != nil || path != hierarchy.PathQuotient {
+			t.Errorf("select: path=%q err=%v", path, err)
+		}
+	}
+	sel() // routes, and a scratch grown to this graph and m
+	runtime.GC()
+	runtime.GC()
+	var before, after runtime.MemStats
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		runtime.ReadMemStats(&before)
+		sel()
+		runtime.ReadMemStats(&after)
+	}()
+	<-done
+	if n, kb := after.Mallocs-before.Mallocs, float64(after.TotalAlloc-before.TotalAlloc)/1024; n > 300 || kb >= 64 {
+		t.Fatalf("select after two collections: %d allocations, %.0f KB; want ≤ 300 and < 64 KB", n, kb)
+	}
+}
+
+// TestScratchListBound: however many sweeps run at once, the free list
+// keeps at most GOMAXPROCS working sets afterwards. The sweeps are held
+// inside their enumeration until every one of them has taken a scratch, so
+// 4×GOMAXPROCS are out at the same time.
+func TestScratchListBound(t *testing.T) {
+	s := testbed.RandomTwoTier(randx.New(5), 4, 3, 6)
+	limit := runtime.GOMAXPROCS(0)
+	var inside, done sync.WaitGroup
+	inside.Add(4 * limit)
+	for i := 0; i < 4*limit; i++ {
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			var once sync.Once
+			req := Request{M: 2, Eligible: func(int) bool {
+				once.Do(func() { inside.Done(); inside.Wait() })
+				return true
+			}}
+			if _, err := Sweep(s, req, Options{}, true, nil); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	done.Wait()
+	if got := ParkedScratches(); got > limit {
+		t.Fatalf("%d working sets parked after %d concurrent sweeps, want ≤ GOMAXPROCS = %d", got, 4*limit, limit)
+	}
+	if ParkedScratches() == 0 {
+		t.Fatal("no working set parked after a sweep")
 	}
 }

@@ -19,7 +19,8 @@
 package hierarchy
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"nodeselect/internal/core"
 	"nodeselect/internal/topology"
@@ -75,68 +76,87 @@ type bundleSig struct {
 // Build computes the partition of a snapshot. Degree-1 compute nodes are
 // grouped by (anchor, node signature, access-link signature, access
 // available bandwidth); groups of at least two become bundles, everything
-// else stays in the backbone.
+// else stays in the backbone. It is a sort and a cut, anchor by anchor: the
+// anchor's leaf links ordered by signature, each run of == signatures (so a
+// NaN measurement groups with nothing, itself included) one group, every
+// bundle's Members and Links sub-slices of two arrays sized once.
 func Build(s *topology.Snapshot) *Partition {
 	g := s.Graph
 	p := &Partition{g: g}
 
-	groups := make(map[bundleSig][]int)
-	for _, id := range g.ComputeNodes() {
-		if g.Degree(id) != 1 {
-			continue
+	// anchor is the attachment node whose leaves are being grouped; leaf is
+	// the other end of one of its links.
+	anchor := 0
+	leaf := func(l int) int { return g.Link(l).Other(anchor) }
+	sigOf := func(l int) bundleSig {
+		node, lk := g.Node(leaf(l)), g.Link(l)
+		return bundleSig{anchor: anchor, speed: node.Speed, arch: node.Arch, memoryMB: node.MemoryMB,
+			capacity: lk.Capacity, latency: lk.Latency, fullDuplex: lk.FullDuplex, availBW: s.AvailBW[l]}
+	}
+	// bySig is a total order that puts == signatures next to each other
+	// (cmp.Compare gives ±0 one place and every NaN another), ascending leaf
+	// ID within one. The measurement decides most comparisons: it is read
+	// first, from where it lies.
+	bySig := func(la, lb int) int {
+		if c := cmp.Compare(s.AvailBW[la], s.AvailBW[lb]); c != 0 {
+			return c
 		}
-		lid := g.Incident(id)[0]
-		lk := g.Link(lid)
-		anchor := lk.Other(id)
-		// A degree-1 anchor would make membership ambiguous (each
-		// endpoint could collapse into the other); keep both loose.
+		a, b := leaf(la), leaf(lb)
+		na, nb, ka, kb := g.Node(a), g.Node(b), g.Link(la), g.Link(lb)
+		duplex := 0
+		if ka.FullDuplex != kb.FullDuplex {
+			duplex = 1
+			if kb.FullDuplex {
+				duplex = -1
+			}
+		}
+		return cmp.Or(cmp.Compare(na.Speed, nb.Speed), cmp.Compare(na.Arch, nb.Arch),
+			cmp.Compare(na.MemoryMB, nb.MemoryMB), cmp.Compare(ka.Capacity, kb.Capacity),
+			cmp.Compare(ka.Latency, kb.Latency), duplex, cmp.Compare(a, b))
+	}
+
+	n := g.NumComputeNodes()
+	members, links := make([]int, 0, n), make([]int, 0, n) // never regrown: the bundles alias them
+	// A degree-1 anchor would make membership ambiguous (each endpoint could
+	// collapse into the other); keep both loose.
+	for anchor = 0; anchor < g.NumNodes(); anchor++ {
 		if g.Degree(anchor) <= 1 {
 			continue
 		}
-		node := g.Node(id)
-		sig := bundleSig{
-			anchor:     anchor,
-			speed:      node.Speed,
-			arch:       node.Arch,
-			memoryMB:   node.MemoryMB,
-			capacity:   lk.Capacity,
-			latency:    lk.Latency,
-			fullDuplex: lk.FullDuplex,
-			availBW:    s.AvailBW[lid],
-		}
-		groups[sig] = append(groups[sig], id)
-	}
-
-	for sig, members := range groups {
-		if len(members) < 2 {
-			continue // a lone leaf gains nothing from collapsing
-		}
-		b := Bundle{
-			Anchor:   sig.anchor,
-			Members:  members, // ascending ID (ComputeNodes order); re-ranked below
-			Links:    make([]int, len(members)),
-			MinID:    members[0],
-			AvailBW:  sig.availBW,
-			Capacity: sig.capacity,
-		}
-		// Rank members exactly as the sweep's topCPUNodes orders
-		// candidates: effective CPU descending, ID ascending.
-		sort.Slice(b.Members, func(i, j int) bool {
-			a, c := b.Members[i], b.Members[j]
-			ca, cc := s.EffectiveCPU(a), s.EffectiveCPU(c)
-			if ca != cc {
-				return ca > cc
+		lo := len(links)
+		for _, l := range g.Incident(anchor) {
+			if id := leaf(l); g.Degree(id) == 1 && g.Node(id).Kind == topology.Compute {
+				links = append(links, l)
 			}
-			return a < c
-		})
-		for i, id := range b.Members {
-			b.Links[i] = g.Incident(id)[0]
 		}
-		p.bundles = append(p.bundles, b)
+		slices.SortFunc(links[lo:], bySig)
+		for _, l := range links[lo:] {
+			members = append(members, leaf(l))
+		}
+		for i, j := lo, 0; i < len(links); i = j {
+			sig := sigOf(links[i])
+			for j = i + 1; j < len(links) && sigOf(links[j]) == sig; j++ {
+			}
+			if j-i < 2 {
+				continue // a lone leaf gains nothing from collapsing
+			}
+			// Clipped, so an append to one bundle cannot write into the next.
+			b := Bundle{Anchor: anchor, Members: members[i:j:j], Links: links[i:j:j],
+				MinID: members[i], AvailBW: sig.availBW, Capacity: sig.capacity}
+			// Rank members exactly as the sweep's topCPUNodes orders
+			// candidates: effective CPU descending, ID ascending.
+			slices.SortFunc(b.Members, func(a, c int) int {
+				return cmp.Or(cmp.Compare(s.EffectiveCPU(c), s.EffectiveCPU(a)), cmp.Compare(a, c))
+			})
+			for k, id := range b.Members {
+				b.Links[k] = g.Incident(id)[0]
+			}
+			p.bundles = append(p.bundles, b)
+		}
 	}
-	// The grouping map's iteration order must not leak into bundle
-	// numbering: order bundles by their smallest member.
-	sort.Slice(p.bundles, func(i, j int) bool { return p.bundles[i].MinID < p.bundles[j].MinID })
+	// Anchor order must not leak into bundle numbering: order bundles by
+	// their smallest member.
+	slices.SortFunc(p.bundles, func(a, b Bundle) int { return cmp.Compare(a.MinID, b.MinID) })
 	sweepGroups := make([]core.Group, len(p.bundles))
 	for j, b := range p.bundles {
 		sweepGroups[j] = core.Group{Anchor: b.Anchor, Members: b.Members, Link: b.Links[0], MinID: b.MinID}

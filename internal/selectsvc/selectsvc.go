@@ -832,8 +832,8 @@ func (s *Service) handleSelect(w http.ResponseWriter, r *http.Request) {
 	maxStale := s.cfg.Collector.MaxStaleAge
 	var staleNodes []string
 	if degraded && maxStale > 0 {
-		for _, id := range g.ComputeNodes() {
-			if id < len(fresh.NodeAge) && fresh.NodeAge[id] > maxStale {
+		for id, age := range fresh.NodeAge[:min(len(fresh.NodeAge), g.NumNodes())] {
+			if age > maxStale && g.Node(id).Kind == topology.Compute {
 				staleNodes = append(staleNodes, g.Node(id).Name)
 			}
 		}

@@ -156,9 +156,10 @@ func (g *Graph) MustNode(name string) int {
 // slice is shared; do not modify.
 func (g *Graph) Incident(node int) []int { return g.adj[node] }
 
-// ComputeNodes returns the IDs of all compute nodes in ascending order.
+// ComputeNodes returns the IDs of all compute nodes in ascending order, in
+// a slice the caller owns.
 func (g *Graph) ComputeNodes() []int {
-	var out []int
+	out := make([]int, 0, g.NumComputeNodes())
 	for i := range g.nodes {
 		if g.nodes[i].Kind == Compute {
 			out = append(out, i)
