@@ -30,7 +30,7 @@ func main() {
 		seed    = flag.Int64("seed", 1, "master random seed")
 		loadR   = flag.Float64("load-rate", 0, "override per-node job arrival rate")
 		trafR   = flag.Float64("traffic-rate", 0, "override network-wide message rate")
-		verbose = flag.Bool("v", false, "print extra detail")
+		verbose = flag.Bool("v", false, "with -run table1: also print mean ± 95% CI and Welch's p per cell")
 		csvOut  = flag.Bool("csv", false, "emit table1 as CSV for plotting")
 	)
 	flag.StringVar(&sloOut, "slo-out", "", "with -run slo: also write the report JSON to this file")
@@ -57,52 +57,36 @@ func main() {
 		cfg.TrafficRate = *trafR
 	}
 
-	verboseOut = *verbose
-	if *csvOut && *run == "table1" {
+	if *run == "table1" && (*csvOut || *verbose) {
 		rows, err := experiment.RunTable1(cfg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "expt:", err)
 			os.Exit(1)
 		}
-		fmt.Print(experiment.Table1CSV(rows))
+		if *csvOut {
+			fmt.Print(experiment.Table1CSV(rows))
+		} else {
+			fmt.Print(experiment.FormatTable1(rows))
+			fmt.Println()
+			fmt.Print(experiment.FormatTable1Long(rows))
+		}
 		return
 	}
-	if err := dispatch(*run, cfg, *verbose); err != nil {
+	if err := dispatch(*run, cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "expt:", err)
 		os.Exit(1)
 	}
 }
 
-func dispatch(run string, cfg experiment.Config, verbose bool) error {
+func dispatch(run string, cfg experiment.Config) error {
+	for _, exp := range experiment.Paper {
+		if exp.Name == run {
+			return exp.Print(cfg, os.Stdout)
+		}
+	}
 	switch run {
-	case "table1":
-		return runTable1(cfg)
-	case "headline":
-		return runHeadline(cfg)
-	case "fig4":
-		return runFig4()
-	case "sweep":
-		return runSweep(cfg)
-	case "ablation":
-		return runAblation(cfg, verbose)
-	case "migration":
-		return runMigration(cfg)
-	case "rebalance":
-		return runRebalance(cfg)
-	case "modes":
-		return runModes(cfg)
-	case "hetero":
-		return runHetero(cfg)
-	case "pattern":
-		return runPattern(cfg)
-	case "failover":
-		return runFailover(cfg)
-	case "autosize":
-		return runAutosize(cfg)
 	case "chaos":
 		return runChaos(cfg)
-	case "contention":
-		return runContention(cfg)
 	case "slo":
 		return runSLO(cfg)
 	case "ha":
@@ -114,9 +98,9 @@ func dispatch(run string, cfg experiment.Config, verbose bool) error {
 	case "hier":
 		return runHier(cfg)
 	case "all":
-		for _, r := range []string{"table1", "headline", "fig4", "sweep", "ablation", "modes", "hetero", "pattern", "failover", "autosize", "migration", "rebalance", "contention"} {
-			fmt.Printf("==== %s ====\n", r)
-			if err := dispatch(r, cfg, verbose); err != nil {
+		for _, exp := range experiment.Paper {
+			fmt.Printf("==== %s ====\n", exp.Name)
+			if err := exp.Print(cfg, os.Stdout); err != nil {
 				return err
 			}
 			fmt.Println()
@@ -127,162 +111,15 @@ func dispatch(run string, cfg experiment.Config, verbose bool) error {
 	}
 }
 
-func runTable1(cfg experiment.Config) error {
-	rows, err := experiment.RunTable1(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Print(experiment.FormatTable1(rows))
-	if verboseOut {
-		fmt.Println()
-		fmt.Print(experiment.FormatTable1Long(rows))
-	}
-	return nil
-}
-
-// verboseOut is set from the -v flag before dispatch.
-var verboseOut bool
-
-func runHeadline(cfg experiment.Config) error {
-	rows, err := experiment.RunTable1(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Print(experiment.FormatTable1(rows))
-	fmt.Println()
-	fmt.Print(experiment.FormatHeadline(experiment.ComputeHeadline(rows)))
-	return nil
-}
-
-func runFig4() error {
-	res, err := experiment.RunFig4(0)
-	if err != nil {
-		return err
-	}
-	fmt.Print(experiment.FormatFig4(res))
-	fmt.Println()
-	fmt.Println(res.DOT)
-	return nil
-}
-
-func runSweep(cfg experiment.Config) error {
-	res, err := experiment.RunLoadSweep(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Print(experiment.FormatLoadSweep(res))
-	fmt.Println()
-	tres, err := experiment.RunTrafficSweep(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Print(experiment.FormatTrafficSweep(tres))
-	fmt.Println()
-	pres, err := experiment.RunPeriodSweep(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Print(experiment.FormatPeriodSweep(pres))
-	return nil
-}
-
-func runAblation(cfg experiment.Config, verbose bool) error {
-	res, err := experiment.RunAlgorithmAblation(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Print(experiment.FormatAlgorithmAblation(res))
-	fmt.Println()
-	gap, err := experiment.RunGreedyGapAblation(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Print(experiment.FormatGreedyGap(gap))
-	_ = verbose
-	return nil
-}
-
-func runModes(cfg experiment.Config) error {
-	res, err := experiment.RunModeAblation(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Print(experiment.FormatModeAblation(res))
-	return nil
-}
-
-func runHetero(cfg experiment.Config) error {
-	res, err := experiment.RunHeteroAblation(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Print(experiment.FormatHeteroAblation(res))
-	return nil
-}
-
-func runFailover(cfg experiment.Config) error {
-	res, err := experiment.RunFailover(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Print(experiment.FormatFailover(res))
-	return nil
-}
-
-func runPattern(cfg experiment.Config) error {
-	res, err := experiment.RunPatternAblation(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Print(experiment.FormatPatternAblation(res))
-	return nil
-}
-
-func runAutosize(cfg experiment.Config) error {
-	res, err := experiment.RunAutosize(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Print(experiment.FormatAutosize(res))
-	return nil
-}
-
 // runChaos exercises the real measurement plane (loopback agents behind
 // fault-injecting proxies), not the simulation, so it is not part of
 // -run all: its timeouts are wall-clock.
-func runContention(cfg experiment.Config) error {
-	res, err := experiment.RunContention(experiment.ContentionOptions{Seed: cfg.Seed})
-	if err != nil {
-		return err
-	}
-	fmt.Print(experiment.FormatContention(res))
-	return nil
-}
-
 func runChaos(cfg experiment.Config) error {
 	res, err := experiment.RunChaos(experiment.ChaosOptions{Seed: cfg.Seed})
 	if err != nil {
 		return err
 	}
 	fmt.Print(experiment.FormatChaos(res))
-	return nil
-}
-
-func runMigration(cfg experiment.Config) error {
-	res, err := experiment.RunMigration(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Print(experiment.FormatMigration(res))
-	return nil
-}
-
-func runRebalance(cfg experiment.Config) error {
-	res, err := experiment.RunRebalance(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Print(experiment.FormatRebalance(res))
 	return nil
 }
 
