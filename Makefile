@@ -65,44 +65,35 @@ bench:
 benchmod:
 	(cd bench && $(GO) vet ./... && $(GO) test ./...)
 
-# Sustained-load SLO harness: hammers an in-process selectd with /select,
-# writes the machine-readable latency/error report to slo.json, then gates
-# it. The p99 budget has ~50x headroom over the healthy cached path, so it
-# only trips on real regressions (a broken plan cache, per-request sweeps),
-# not CI noise; p999 is left ungated because single GC pauses own it.
-SLO_P99_BUDGET_MS ?= 5
-SLO_ERROR_BUDGET ?= 0.001
+# Sustained-load SLO harness: hammers an in-process selectd with /select
+# and fails when p99 exceeds 5 ms or the 5xx rate 0.001. The p99 budget has
+# ~50x headroom over the healthy cached path, so it only trips on real
+# regressions (a broken plan cache, per-request sweeps), not CI noise; p999
+# is left ungated because single GC pauses own it.
 slo:
-	$(GO) run ./cmd/expt -run slo -slo-out slo.json
-	$(GO) run ./cmd/benchdiff -slo slo.json -p99-budget-ms $(SLO_P99_BUDGET_MS) -error-budget $(SLO_ERROR_BUDGET)
+	$(GO) run ./cmd/expt -run slo
 
 # Epoch-batched admission benchmark: the serial-equivalence wall under the
 # race detector first (the correctness contract batching rides on), then
 # the sustained-load A/B — the same leased-select load against serial and
-# batched admission, both WAL-backed — written to admit.json and re-gated
-# by cmd/benchdiff from the raw per-rep throughput samples.
-ADMIT_MIN_SPEEDUP ?= 3
-ADMIT_MAX_P99_RATIO ?= 2
-ADMIT_ALPHA ?= 0.005
+# batched admission, both WAL-backed — which fails unless batched beats
+# serial by 3x at Welch p < 0.005 with its p99 within 2x serial's.
 admit:
 	$(GO) test -race ./internal/lease -run='^TestBatch' -v
 	$(GO) test -race ./internal/admission -v
-	$(GO) run ./cmd/expt -run admit -admit-out admit.json
-	$(GO) run ./cmd/benchdiff -admit admit.json -min-speedup $(ADMIT_MIN_SPEEDUP) -max-p99-ratio $(ADMIT_MAX_P99_RATIO) -admit-alpha $(ADMIT_ALPHA)
+	$(GO) run ./cmd/expt -run admit
 
-# Grouped selection gate: the exact-equivalence test walls under the race
-# detector (the one sweep against its literal oracle, ungrouped and
+# Grouped selection gate, under the race detector: the exact-equivalence
+# test walls (the one sweep against its literal oracle, ungrouped and
 # grouped; hierarchy's hand-off; the service wiring), then the 24-topology
-# randomized grouped-vs-ungrouped suite, written to hier.json and re-gated
-# by cmd/benchdiff. What grouping buys in time is `make perf`'s
-# tiered10k_hier workload to say.
-HIER_MIN_QUALITY ?= 0.95
+# randomized grouped-vs-ungrouped suite, which fails on any inexact
+# comparison. What grouping buys in time is `make perf`'s tiered10k_hier
+# workload to say.
 hier:
 	$(GO) test -race ./internal/core -run='Equivalence|Scratch' -v
 	$(GO) test -race ./internal/hierarchy -v
 	$(GO) test -race ./internal/selectsvc -run='Hierarchy' -v
-	$(GO) run ./cmd/expt -run hier -hier-out hier.json
-	$(GO) run ./cmd/benchdiff -hier hier.json -min-quality $(HIER_MIN_QUALITY)
+	$(GO) test -race ./internal/experiment -run='^TestHierEquivalenceSuite$$' -v
 
 # The end-to-end benchmark BENCHMARK.json declares: a real selectd (and,
 # for fig4_advisory, a remosd fleet) behind sockets under open-loop load,

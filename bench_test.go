@@ -1,19 +1,13 @@
-// Package repro_test is the benchmark harness that regenerates every table
-// and figure of the paper's evaluation. Each benchmark runs the
-// corresponding experiment and reports the simulated execution times as
-// custom metrics alongside the usual wall-clock cost:
+// Package repro_test holds the wall-clock benchmarks of the paper's
+// algorithms and of the experiments that reproduce its evaluation. The
+// simulated numbers themselves are pinned by the goldens of
+// internal/experiment (TestPaperGolden), not reported here:
 //
-//	BenchmarkTable1FFT / Airshed / MRI  — the three rows of Table 1
-//	                                      (random vs automatic, load+traffic)
-//	BenchmarkTable1Full                 — the entire Table 1 grid
-//	BenchmarkHalvingHeadline            — §4.3 "increase cut in half"
-//	BenchmarkFig4Avoidance              — the Figure 4 selection scenario
 //	BenchmarkFig2MaxBandwidth*          — Figure 2 algorithm cost scaling
 //	BenchmarkFig3Balanced*              — Figure 3 algorithm cost scaling
-//	BenchmarkAblationAlgorithms         — §3.2 objectives + §4.3 baselines
-//	BenchmarkAblationGreedyGap          — Figure 3 variant vs brute force
-//	BenchmarkMigration                  — §3.3 dynamic migration
-//	BenchmarkSweepLoad / SweepTraffic   — §4.4 sensitivity sweeps
+//	BenchmarkServiceSelect200*          — the placement service under load
+//	BenchmarkTable1Full                 — the entire Table 1 grid
+//	BenchmarkAblation* / BenchmarkSweep* — the ablations and §4.4 sweeps
 //
 // Run with: go test -bench=. -benchmem
 package repro_test
@@ -25,7 +19,6 @@ import (
 	"net/http/httptest"
 	"testing"
 
-	"nodeselect/internal/apps"
 	"nodeselect/internal/core"
 	"nodeselect/internal/experiment"
 	"nodeselect/internal/randx"
@@ -44,41 +37,6 @@ func benchConfig() experiment.Config {
 	return cfg
 }
 
-// benchTable1Row runs one application's load+traffic cell with random and
-// automatic selection and reports the simulated seconds as metrics.
-func benchTable1Row(b *testing.B, app func() apps.App) {
-	cfg := benchConfig()
-	var random, auto float64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r, _, err := experiment.RunOnce(cfg, app(), experiment.CondBoth, "random", i)
-		if err != nil {
-			b.Fatal(err)
-		}
-		a, _, err := experiment.RunOnce(cfg, app(), experiment.CondBoth, "balanced", i)
-		if err != nil {
-			b.Fatal(err)
-		}
-		random += r
-		auto += a
-	}
-	b.ReportMetric(random/float64(b.N), "random_sim_s")
-	b.ReportMetric(auto/float64(b.N), "auto_sim_s")
-}
-
-func BenchmarkTable1FFT(b *testing.B) {
-	benchTable1Row(b, func() apps.App { return apps.DefaultFFT() })
-}
-
-func BenchmarkTable1Airshed(b *testing.B) {
-	benchTable1Row(b, func() apps.App { return apps.DefaultAirshed() })
-}
-
-func BenchmarkTable1MRI(b *testing.B) {
-	benchTable1Row(b, func() apps.App { return apps.DefaultMRI() })
-}
-
 func BenchmarkTable1Full(b *testing.B) {
 	cfg := benchConfig()
 	b.ReportAllocs()
@@ -93,43 +51,6 @@ func BenchmarkTable1Full(b *testing.B) {
 			b.Fatal("short table")
 		}
 	}
-}
-
-func BenchmarkHalvingHeadline(b *testing.B) {
-	cfg := benchConfig()
-	var ratio float64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cfg.Seed = int64(i + 1)
-		rows, err := experiment.RunTable1(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		hs := experiment.ComputeHeadline(rows)
-		sum := 0.0
-		for _, h := range hs {
-			sum += h.Ratio
-		}
-		ratio += sum / float64(len(hs))
-	}
-	// The paper reports this ratio as "approximately half".
-	b.ReportMetric(ratio/float64(b.N), "increase_ratio")
-}
-
-func BenchmarkFig4Avoidance(b *testing.B) {
-	avoided := 0
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.RunFig4(0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.AvoidedCongestion {
-			avoided++
-		}
-	}
-	b.ReportMetric(float64(avoided)/float64(b.N), "avoidance_rate")
 }
 
 // selectionSnapshot builds a loaded random tree of n compute nodes for
@@ -234,37 +155,6 @@ func BenchmarkAblationAlgorithms(b *testing.B) {
 	}
 }
 
-func BenchmarkAblationGreedyGap(b *testing.B) {
-	cfg := benchConfig()
-	var paperRatio float64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cfg.Seed = int64(i + 1)
-		gap, err := experiment.RunGreedyGapAblation(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		paperRatio += gap.MeanPaperRatio
-	}
-	b.ReportMetric(paperRatio/float64(b.N), "paper_variant_ratio")
-}
-
-func BenchmarkMigration(b *testing.B) {
-	cfg := experiment.Default()
-	var speedup float64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.RunMigration(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		speedup += res.StayElapsed / res.MigrateElapsed
-	}
-	b.ReportMetric(speedup/float64(b.N), "migration_speedup")
-}
-
 func BenchmarkAblationQueryModes(b *testing.B) {
 	cfg := benchConfig()
 	b.ReportAllocs()
@@ -295,40 +185,6 @@ func BenchmarkAblationPattern(b *testing.B) {
 			b.Fatal("short pattern ablation")
 		}
 	}
-}
-
-func BenchmarkAblationHeterogeneous(b *testing.B) {
-	cfg := benchConfig()
-	var ratio float64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cfg.Seed = int64(i + 1)
-		cells, err := experiment.RunHeteroAblation(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ratio += cells[1].Elapsed / cells[2].Elapsed // own-fraction / ref-capacity
-	}
-	b.ReportMetric(ratio/float64(b.N), "own_over_ref")
-}
-
-func BenchmarkAutosize(b *testing.B) {
-	cfg := benchConfig()
-	var regret float64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cfg.Seed = int64(i + 1)
-		results, err := experiment.RunAutosize(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, res := range results {
-			regret += res.Regret / float64(len(results))
-		}
-	}
-	b.ReportMetric(regret/float64(b.N), "autosize_regret")
 }
 
 func BenchmarkSweepLoad(b *testing.B) {
@@ -365,21 +221,4 @@ func BenchmarkSweepPollingPeriod(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-func BenchmarkFailover(b *testing.B) {
-	cfg := benchConfig()
-	avoided := 0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.RunFailover(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.CrossesFailure && !res.NaiveCompleted {
-			avoided++
-		}
-	}
-	b.ReportMetric(float64(avoided)/float64(b.N), "failover_correct")
 }

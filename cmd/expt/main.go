@@ -10,6 +10,9 @@
 //	expt -run ablation
 //	expt -run migration
 //	expt -run all
+//
+// The wall-clock harnesses (chaos, slo, ha, gossip, admit) are not part of
+// -run all; slo, ha, gossip and admit exit non-zero when their gate fails.
 package main
 
 import (
@@ -23,9 +26,17 @@ import (
 	"nodeselect/internal/experiment"
 )
 
+// haOut, gossipOut and gossipSizes are set from the -ha-out and -gossip-*
+// flags before dispatch.
+var (
+	haOut       string
+	gossipOut   string
+	gossipSizes string
+)
+
 func main() {
 	var (
-		run     = flag.String("run", "table1", "experiment to run: table1, headline, fig4, sweep, ablation, modes, hetero, pattern, failover, autosize, migration, rebalance, chaos, contention, slo, ha, gossip, admit, hier, all")
+		run     = flag.String("run", "table1", "experiment to run: table1, headline, fig4, sweep, ablation, modes, hetero, pattern, failover, autosize, migration, rebalance, chaos, contention, slo, ha, gossip, admit, all")
 		reps    = flag.Int("reps", 0, "replications per cell (default from experiment.Default)")
 		seed    = flag.Int64("seed", 1, "master random seed")
 		loadR   = flag.Float64("load-rate", 0, "override per-node job arrival rate")
@@ -33,16 +44,9 @@ func main() {
 		verbose = flag.Bool("v", false, "with -run table1: also print mean ± 95% CI and Welch's p per cell")
 		csvOut  = flag.Bool("csv", false, "emit table1 as CSV for plotting")
 	)
-	flag.StringVar(&sloOut, "slo-out", "", "with -run slo: also write the report JSON to this file")
-	flag.IntVar(&sloRequests, "slo-requests", 0, "with -run slo: measured request count (default 5000)")
-	flag.BoolVar(&sloNoTrace, "slo-notrace", false, "with -run slo: disable request tracing (overhead baseline)")
 	flag.StringVar(&haOut, "ha-out", "", "with -run ha: also write the report JSON to this file")
 	flag.StringVar(&gossipOut, "gossip-out", "", "with -run gossip: also write the report JSON to this file")
 	flag.StringVar(&gossipSizes, "gossip-sizes", "", "with -run gossip: comma-separated fleet sizes (default 50,100,200,500)")
-	flag.StringVar(&admitOut, "admit-out", "", "with -run admit: also write the report JSON to this file")
-	flag.IntVar(&admitRequests, "admit-requests", 0, "with -run admit: measured requests per rep (default 1500)")
-	flag.IntVar(&admitReps, "admit-reps", 0, "with -run admit: reps per admission mode (default 5)")
-	flag.StringVar(&hierOut, "hier-out", "", "with -run hier: also write the report JSON to this file")
 	flag.Parse()
 
 	cfg := experiment.Default()
@@ -95,8 +99,6 @@ func dispatch(run string, cfg experiment.Config) error {
 		return runGossip(cfg)
 	case "admit":
 		return runAdmit(cfg)
-	case "hier":
-		return runHier(cfg)
 	case "all":
 		for _, exp := range experiment.Paper {
 			fmt.Printf("==== %s ====\n", exp.Name)
@@ -112,8 +114,8 @@ func dispatch(run string, cfg experiment.Config) error {
 }
 
 // runChaos exercises the real measurement plane (loopback agents behind
-// fault-injecting proxies), not the simulation, so it is not part of
-// -run all: its timeouts are wall-clock.
+// fault-injecting proxies), not the simulation: its timeouts are
+// wall-clock.
 func runChaos(cfg experiment.Config) error {
 	res, err := experiment.RunChaos(experiment.ChaosOptions{Seed: cfg.Seed})
 	if err != nil {
@@ -123,48 +125,33 @@ func runChaos(cfg experiment.Config) error {
 	return nil
 }
 
-// sloOut, sloRequests and sloNoTrace are set from flags before dispatch.
-var (
-	sloOut      string
-	sloRequests int
-	sloNoTrace  bool
-)
-
 // runSLO drives the sustained-load harness against an in-process selectd
-// and prints the latency/error summary; -slo-out also writes the
-// machine-readable report for the benchdiff -slo CI gate. Like chaos it
-// measures wall-clock, so it is not part of -run all.
+// and prints the latency/error summary. Exits non-zero when p99 or the 5xx
+// rate blows its budget, so the CI slo job gates on it directly.
 func runSLO(cfg experiment.Config) error {
-	rep, err := experiment.RunSLO(experiment.SLOOptions{
-		Seed:     cfg.Seed,
-		Requests: sloRequests,
-		NoTrace:  sloNoTrace,
-	})
+	rep, err := experiment.RunSLO(experiment.SLOOptions{Seed: cfg.Seed})
 	if err != nil {
 		return err
 	}
 	fmt.Print(experiment.FormatSLO(rep))
-	if sloOut != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(sloOut, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", sloOut)
+	if !rep.Pass {
+		return fmt.Errorf("SLO run failed its budget: %s", strings.Join(rep.Failures, "; "))
 	}
 	return nil
 }
 
-// haOut is set from the -ha-out flag before dispatch.
-var haOut string
-
-// gossipOut / gossipSizes are set from the -gossip-* flags before dispatch.
-var (
-	gossipOut   string
-	gossipSizes string
-)
+// writeReport writes v as indented JSON to path.
+func writeReport(path string, v any) error {
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		return err
+	}
+	fmt.Printf("wrote %s\n", path)
+	return nil
+}
 
 // runGossip drives the gossip-plane convergence experiment: in-process
 // meshes at several fleet sizes, measuring propagation-time CDFs under
@@ -188,14 +175,9 @@ func runGossip(cfg experiment.Config) error {
 	}
 	fmt.Print(experiment.FormatGossip(rep))
 	if gossipOut != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
+		if err := writeReport(gossipOut, rep); err != nil {
 			return err
 		}
-		if err := os.WriteFile(gossipOut, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", gossipOut)
 	}
 	if !rep.Pass {
 		return fmt.Errorf("gossip convergence failed: a bound was missed (see report above)")
@@ -203,66 +185,19 @@ func runGossip(cfg experiment.Config) error {
 	return nil
 }
 
-// admitOut / admitRequests / admitReps are set from the -admit-* flags
-// before dispatch.
-var (
-	admitOut      string
-	admitRequests int
-	admitReps     int
-)
-
 // runAdmit drives the epoch-batched admission A/B benchmark: the same
 // sustained leased-select load against a serial-admission service and a
 // batched one, both WAL-backed, compared with Welch's t-test. Exits
 // non-zero when the speedup or tail-latency gate fails, so the CI admit
-// job gates on it directly. Wall-clock sensitive, so not part of -run all.
+// job gates on it directly.
 func runAdmit(cfg experiment.Config) error {
-	rep, err := experiment.RunAdmit(experiment.AdmitOptions{
-		Seed:     cfg.Seed,
-		Requests: admitRequests,
-		Reps:     admitReps,
-	})
+	rep, err := experiment.RunAdmit(experiment.AdmitOptions{Seed: cfg.Seed})
 	if err != nil {
 		return err
 	}
 	fmt.Print(experiment.FormatAdmit(rep))
-	if admitOut != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(admitOut, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", admitOut)
-	}
 	if !rep.Pass {
 		return fmt.Errorf("admission benchmark failed its gate: %s", strings.Join(rep.Failures, "; "))
-	}
-	return nil
-}
-
-// hierOut is set from the -hier-out flag before dispatch.
-var hierOut string
-
-// runHier drives the randomized grouped-vs-ungrouped equivalence suite.
-// Exits non-zero when a comparison diverges, so the CI hier job gates on
-// it directly.
-func runHier(cfg experiment.Config) error {
-	rep := experiment.RunHier(experiment.HierOptions{Seed: cfg.Seed})
-	fmt.Print(experiment.FormatHier(rep))
-	if hierOut != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(hierOut, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", hierOut)
-	}
-	if !rep.Pass {
-		return fmt.Errorf("grouped selection equivalence suite failed its gate: %s", strings.Join(rep.Failures, "; "))
 	}
 	return nil
 }
@@ -270,7 +205,7 @@ func runHier(cfg experiment.Config) error {
 // runHA drives the replicated-ledger fault-injection harness: a 3-replica
 // in-process cluster put through kill-the-leader, follower-partition, and
 // torn-append schedules. Exits non-zero when any invariant fails, so the
-// CI ha job gates on it directly. Wall-clock timing, so not in -run all.
+// CI ha job gates on it directly.
 func runHA(cfg experiment.Config) error {
 	rep, err := experiment.RunHA(experiment.HAOptions{Seed: cfg.Seed})
 	if err != nil {
@@ -278,14 +213,9 @@ func runHA(cfg experiment.Config) error {
 	}
 	fmt.Print(experiment.FormatHA(rep))
 	if haOut != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
+		if err := writeReport(haOut, rep); err != nil {
 			return err
 		}
-		if err := os.WriteFile(haOut, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", haOut)
 	}
 	if !rep.Pass {
 		return fmt.Errorf("ha harness failed: an invariant did not hold (see report above)")

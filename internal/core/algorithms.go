@@ -269,13 +269,13 @@ func referenceSweepSelect(s *topology.Snapshot, req Request, opts Options, balan
 	for _, id := range eligible {
 		isEligible[id] = true
 	}
-	priority := req.Priority()
+	priority := req.priority()
 
 	// Edge metric: absolute available bandwidth for MaxBandwidth,
 	// fractional availability for Balanced.
 	metric := func(l int) float64 {
 		if balanced {
-			return LinkFactor(s, l, req)
+			return linkFactor(s, l, req)
 		}
 		return s.AvailBW[l]
 	}

@@ -10,6 +10,8 @@ var (
 	RandomTreeSnapshot   = randomTreeSnapshot
 	NodeName             = nodeName
 	Chain                = chain
+	LinkFactor           = linkFactor
+	Priority             = Request.priority
 )
 
 // NewScratchSweep returns Sweep bound to one private scratch instead of a

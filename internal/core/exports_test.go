@@ -65,16 +65,16 @@ func TestLinkFactorAndPriority(t *testing.T) {
 	s := topology.NewSnapshot(g)
 	backbone := g.NumLinks() - 1
 	s.SetAvailBW(backbone, 250e6)
-	if got := LinkFactor(s, backbone, Request{}); got != 0.25 {
-		t.Fatalf("LinkFactor against own capacity = %v, want 0.25", got)
+	if got := linkFactor(s, backbone, Request{}); got != 0.25 {
+		t.Fatalf("linkFactor against own capacity = %v, want 0.25", got)
 	}
-	if got := LinkFactor(s, backbone, Request{RefCapacity: 100e6}); got != 2.5 {
-		t.Fatalf("LinkFactor against a 100 Mbps reference = %v, want 2.5", got)
+	if got := linkFactor(s, backbone, Request{RefCapacity: 100e6}); got != 2.5 {
+		t.Fatalf("linkFactor against a 100 Mbps reference = %v, want 2.5", got)
 	}
-	if got := (Request{}).Priority(); got != 1 {
+	if got := (Request{}).priority(); got != 1 {
 		t.Fatalf("unset priority = %v, want 1", got)
 	}
-	if got := (Request{ComputePriority: 3}).Priority(); got != 3 {
+	if got := (Request{ComputePriority: 3}).priority(); got != 3 {
 		t.Fatalf("priority = %v, want 3", got)
 	}
 }

@@ -124,7 +124,7 @@ func scorePairs(s *topology.Snapshot, nodes []int, req Request, pairs [][2]int) 
 			if bw := s.AvailBW[lid]; bw < res.PairMinBW {
 				res.PairMinBW = bw
 			}
-			if f := LinkFactor(s, lid, req); f < res.MinBWFactor {
+			if f := linkFactor(s, lid, req); f < res.MinBWFactor {
 				res.MinBWFactor = f
 			}
 		}
@@ -132,7 +132,7 @@ func scorePairs(s *topology.Snapshot, nodes []int, req Request, pairs [][2]int) 
 			res.MaxPairLatency = lat
 		}
 	}
-	res.MinResource = math.Min(res.MinCPU, req.Priority()*res.MinBWFactor)
+	res.MinResource = math.Min(res.MinCPU, req.priority()*res.MinBWFactor)
 	return res
 }
 

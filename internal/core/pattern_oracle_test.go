@@ -40,7 +40,7 @@ func referenceBalancedPattern(s *topology.Snapshot, req Request, pattern Pattern
 		}
 	}
 	sort.Slice(order, func(i, j int) bool {
-		fi, fj := LinkFactor(s, order[i], req), LinkFactor(s, order[j], req)
+		fi, fj := linkFactor(s, order[i], req), linkFactor(s, order[j], req)
 		if fi != fj {
 			return fi < fj
 		}
@@ -74,10 +74,10 @@ func referenceBalancedPattern(s *topology.Snapshot, req Request, pattern Pattern
 	}
 	evaluate()
 	for i := 0; i < len(order); {
-		v := LinkFactor(s, order[i], req)
+		v := linkFactor(s, order[i], req)
 		alive[order[i]] = false
 		i++
-		for i < len(order) && LinkFactor(s, order[i], req) == v {
+		for i < len(order) && linkFactor(s, order[i], req) == v {
 			alive[order[i]] = false
 			i++
 		}

@@ -95,9 +95,9 @@ type Request struct {
 	Pinned []int
 }
 
-// Priority returns the effective compute priority: ComputePriority, or 1
+// priority returns the effective compute priority: ComputePriority, or 1
 // when unset.
-func (r Request) Priority() float64 {
+func (r Request) priority() float64 {
 	if r.ComputePriority <= 0 {
 		return 1
 	}

@@ -49,7 +49,7 @@ func scoreSorted(s *topology.Snapshot, nodes []int, req Request) Result {
 					res.PairMinBW = bw
 					res.BottleneckLink = lid
 				}
-				if f := LinkFactor(s, lid, req); f < res.MinBWFactor {
+				if f := linkFactor(s, lid, req); f < res.MinBWFactor {
 					res.MinBWFactor = f
 				}
 				lat += s.Graph.Link(lid).Latency
@@ -62,13 +62,13 @@ func scoreSorted(s *topology.Snapshot, nodes []int, req Request) Result {
 	if len(nodes) == 0 {
 		res.MinCPU = 0
 	}
-	res.MinResource = math.Min(res.MinCPU, req.Priority()*res.MinBWFactor)
+	res.MinResource = math.Min(res.MinCPU, req.priority()*res.MinBWFactor)
 	return res
 }
 
-// LinkFactor returns the fractional availability of a link under the
+// linkFactor returns the fractional availability of a link under the
 // request's heterogeneity convention.
-func LinkFactor(s *topology.Snapshot, link int, req Request) float64 {
+func linkFactor(s *topology.Snapshot, link int, req Request) float64 {
 	if req.RefCapacity > 0 {
 		return s.AvailBW[link] / req.RefCapacity
 	}

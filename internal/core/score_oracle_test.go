@@ -43,7 +43,7 @@ func referenceScore(s *topology.Snapshot, nodes []int, req Request) Result {
 	if len(res.Nodes) == 0 {
 		res.MinCPU = 0
 	}
-	res.MinResource = math.Min(res.MinCPU, req.Priority()*res.MinBWFactor)
+	res.MinResource = math.Min(res.MinCPU, Priority(req)*res.MinBWFactor)
 	return res
 }
 

@@ -318,7 +318,7 @@ func (sc *scratch) enumerate(s *topology.Snapshot, req Request, gr *Grouping, ba
 
 	metricOf := func(l int) float64 {
 		if balanced {
-			return LinkFactor(s, l, req)
+			return linkFactor(s, l, req)
 		}
 		return s.AvailBW[l]
 	}
@@ -547,7 +547,7 @@ func (sc *scratch) sweep(s *topology.Snapshot, req Request, opts Options, balanc
 	// best candidate's index in the memo.
 	byIdentity := len(req.Pinned) > 0 || req.MaxPairLatency > 0
 	pinned := req.pinnedSet()
-	priority := req.Priority()
+	priority := req.priority()
 	pools := sc.pools[:0]
 	recs, err := sc.enumerate(s, req, gr, balanced, func(root int) (float64, int, bool) {
 		if !byIdentity {

@@ -27,10 +27,9 @@ type AdmitOptions struct {
 	Requests    int
 	Reps        int
 	Concurrency int
-	// Window and MaxBatch tune the batched mode's pipeline (defaults 2ms
-	// and 64).
-	Window   time.Duration
-	MaxBatch int
+	// Window is the batched mode's collection window (default 2ms; a
+	// batch also closes at 64 submissions).
+	Window time.Duration
 }
 
 func (o AdmitOptions) withDefaults() AdmitOptions {
@@ -46,11 +45,16 @@ func (o AdmitOptions) withDefaults() AdmitOptions {
 	if o.Window <= 0 {
 		o.Window = 2 * time.Millisecond
 	}
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = 64
-	}
 	return o
 }
+
+// The thresholds RunAdmit gates on: batched throughput at least 3x
+// serial's with Welch p below 0.005, batched p99 within 2x serial's.
+const (
+	admitMinSpeedup  = 3.0
+	admitMaxP99Ratio = 2.0
+	admitAlpha       = 0.005
+)
 
 // admitBody is the leased select every worker sends: a tiny CPU demand so
 // thousands of leases fit the testbed and rejections stay out of the
@@ -96,7 +100,7 @@ func RunAdmit(opt AdmitOptions) (loadgen.AdmitReport, error) {
 			cfg.Trace.Disabled = true
 			if batched {
 				cfg.BatchWindow = opt.Window
-				cfg.BatchMax = opt.MaxBatch
+				cfg.BatchMax = 64
 			}
 			svc := selectsvc.New(src, cfg)
 			if err := svc.Poll(); err != nil {
@@ -134,11 +138,10 @@ func RunAdmit(opt AdmitOptions) (loadgen.AdmitReport, error) {
 		return loadgen.AdmitReport{}, fmt.Errorf("admit: batched mode: %w", err)
 	}
 
-	return loadgen.GateAdmit(serial, batched, 3.0, 2.0, 0.005), nil
+	return loadgen.GateAdmit(serial, batched, admitMinSpeedup, admitMaxP99Ratio, admitAlpha), nil
 }
 
-// FormatAdmit renders the A/B comparison (admit.json carries the same
-// numbers machine-readably).
+// FormatAdmit renders the A/B comparison and its verdict.
 func FormatAdmit(r loadgen.AdmitReport) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Admission benchmark: %d requests/rep, %d reps, concurrency %d\n",
@@ -150,7 +153,7 @@ func FormatAdmit(r loadgen.AdmitReport) string {
 	mode("serial", r.Serial)
 	mode("batched", r.Batched)
 	fmt.Fprintf(&b, "  speedup %.2fx (floor %.1fx, welch p %.4g at alpha %.4g), batched p99 %.2fx serial (cap %.1fx)\n",
-		r.Speedup, r.MinSpeedup, r.WelchP, r.Alpha, r.P99Ratio, r.MaxP99Ratio)
+		r.Speedup, admitMinSpeedup, r.WelchP, admitAlpha, r.P99Ratio, admitMaxP99Ratio)
 	if r.Pass {
 		fmt.Fprintf(&b, "  PASS\n")
 	} else {

@@ -1,43 +1,41 @@
 package experiment
 
 import (
-	"fmt"
 	"reflect"
-	"strings"
 
 	"nodeselect/internal/core"
 	"nodeselect/internal/hierarchy"
-	"nodeselect/internal/loadgen"
 	"nodeselect/internal/randx"
 	"nodeselect/internal/testbed"
 	"nodeselect/internal/topology"
 )
 
-// This file drives the grouped-selection equivalence suite behind
-// `expt -run hier` and the benchdiff -hier gate: on randomized ≤200-node
-// topologies every request is answered by core.Select and by
-// hierarchy.Select over the snapshot's partition, and both must agree
-// exactly. It used to time the two against each other at 10k–50k nodes
-// (PR 10: 34–50x, PR 13: 87–120x at 10101 nodes). Since the ungrouped arm
-// became the same sweep that ratio only says what grouping buys — under
-// these 1/16-quantized conditions 4.1–9.5x at 10101 nodes over five runs
-// (ungrouped 2.1–4.6 ms a select), below the old 10x floor — so the timed
-// A/B is retired rather than loosened; bench/'s tiered10k_hier workload is
-// the instrument for that path.
+// This file holds the grouped-selection equivalence suite that
+// TestHierEquivalenceSuite runs (and `make hier` under the race detector):
+// on randomized ≤200-node topologies every request is answered by
+// core.Select and by hierarchy.Select over the snapshot's partition, and
+// both must agree exactly. It times nothing: grouped and ungrouped are the
+// same sweep, so what grouping buys is bench/'s tiered10k_hier workload to
+// say.
 
-// HierOptions parameterizes the suite.
-type HierOptions struct {
-	// Seed randomizes topology conditions and request sequences.
-	Seed int64
-	// EquivTopologies is the randomized suite size (default 24).
-	EquivTopologies int
-}
+// hierEquivTopologies is the randomized suite size.
+const hierEquivTopologies = 24
 
-func (o HierOptions) withDefaults() HierOptions {
-	if o.EquivTopologies <= 0 {
-		o.EquivTopologies = 24
-	}
-	return o
+// hierEquivalence summarizes the randomized equivalence/quality suite.
+type hierEquivalence struct {
+	// topologies and cases count the randomized topologies and the select
+	// comparisons run over them.
+	topologies, cases int
+	// exact counts comparisons whose outcomes (node sets, scores, and
+	// errors alike) were identical.
+	exact int
+	// quotientShare is the fraction of comparisons that ran grouped (the
+	// rest fell outside the grouped class, which still must match but
+	// exercises no grouping).
+	quotientShare float64
+	// qualityRatio is the worst grouped/ungrouped minresource ratio over
+	// the successful comparisons (1 when every outcome matched exactly).
+	qualityRatio float64
 }
 
 // paintConditions draws randomized measurement conditions onto a snapshot
@@ -122,11 +120,11 @@ func hierEquivCases(g *topology.Graph, rng *randx.Source) []struct {
 // runHierEquivalence runs the randomized equivalence/quality suite: every
 // case is answered ungrouped and through the partition, and the outcomes —
 // node sets, every score field, and errors alike — must be identical.
-func runHierEquivalence(opt HierOptions) loadgen.HierEquivalence {
-	eq := loadgen.HierEquivalence{QualityRatio: 1}
+func runHierEquivalence(seed int64) hierEquivalence {
+	eq := hierEquivalence{qualityRatio: 1}
 	quotient := 0
-	for i := 0; i < opt.EquivTopologies; i++ {
-		rng := randx.New(opt.Seed).Split("hier-equiv").SplitN(i)
+	for i := 0; i < hierEquivTopologies; i++ {
+		rng := randx.New(seed).Split("hier-equiv").SplitN(i)
 		var g *topology.Graph
 		switch i % 4 {
 		case 0, 1:
@@ -139,57 +137,35 @@ func runHierEquivalence(opt HierOptions) loadgen.HierEquivalence {
 		snap := topology.NewSnapshot(g)
 		paintConditions(g, snap, rng.Split("paint"), 1+rng.Intn(2))
 		part := hierarchy.Build(snap)
-		eq.Topologies++
+		eq.topologies++
 		for _, c := range hierEquivCases(g, rng.Split("req")) {
-			fres, ferr := core.Select(c.algo, snap, c.req, randx.New(opt.Seed).Split("flat"))
-			hres, path, herr := hierarchy.Select(c.algo, snap, part, c.req, randx.New(opt.Seed).Split("flat"), core.Options{})
-			eq.Cases++
+			fres, ferr := core.Select(c.algo, snap, c.req, randx.New(seed).Split("flat"))
+			hres, path, herr := hierarchy.Select(c.algo, snap, part, c.req, randx.New(seed).Split("flat"), core.Options{})
+			eq.cases++
 			if path == hierarchy.PathQuotient {
 				quotient++
 			}
 			switch {
 			case ferr != nil || herr != nil:
 				if ferr != nil && herr != nil && ferr.Error() == herr.Error() {
-					eq.Exact++
+					eq.exact++
 				}
 			case reflect.DeepEqual(fres, hres):
-				eq.Exact++
+				eq.exact++
 				if fres.MinResource > 0 {
-					if ratio := hres.MinResource / fres.MinResource; ratio < eq.QualityRatio {
-						eq.QualityRatio = ratio
+					if ratio := hres.MinResource / fres.MinResource; ratio < eq.qualityRatio {
+						eq.qualityRatio = ratio
 					}
 				}
 			default:
-				if fres.MinResource > 0 && hres.MinResource/fres.MinResource < eq.QualityRatio {
-					eq.QualityRatio = hres.MinResource / fres.MinResource
+				if fres.MinResource > 0 && hres.MinResource/fres.MinResource < eq.qualityRatio {
+					eq.qualityRatio = hres.MinResource / fres.MinResource
 				}
 			}
 		}
 	}
-	if eq.Cases > 0 {
-		eq.QuotientShare = float64(quotient) / float64(eq.Cases)
+	if eq.cases > 0 {
+		eq.quotientShare = float64(quotient) / float64(eq.cases)
 	}
 	return eq
-}
-
-// RunHier runs the equivalence suite and gates it at the acceptance
-// thresholds (every comparison exact, minresource within 0.95x).
-func RunHier(opt HierOptions) loadgen.HierReport {
-	return loadgen.GateHier(runHierEquivalence(opt.withDefaults()), 0.95)
-}
-
-// FormatHier renders the report (hier.json carries the same numbers
-// machine-readably).
-func FormatHier(r loadgen.HierReport) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Grouped selection equivalence suite\n")
-	fmt.Fprintf(&b, "  equivalence: %d/%d exact over %d topologies (quotient share %.2f, quality ratio %.4f)\n",
-		r.Equivalence.Exact, r.Equivalence.Cases, r.Equivalence.Topologies,
-		r.Equivalence.QuotientShare, r.Equivalence.QualityRatio)
-	if r.Pass {
-		fmt.Fprintf(&b, "  PASS\n")
-	} else {
-		fmt.Fprintf(&b, "  FAIL: %s\n", strings.Join(r.Failures, "; "))
-	}
-	return b.String()
 }

@@ -8,20 +8,26 @@ import (
 	"nodeselect/internal/topology"
 )
 
-// TestHierEquivalenceSuite runs the randomized suite: every comparison must
-// be exact and the quotient path must actually engage on a meaningful
-// share of it (a suite the fallback answers entirely would prove nothing
-// about the collapse).
+// TestHierEquivalenceSuite runs the randomized suite: it must run every
+// topology, every comparison must be exact, and the quotient path must
+// actually engage on a meaningful share of it (a suite the fallback answers
+// entirely would prove nothing about the collapse). This is the gate
+// `make hier` runs under the race detector.
 func TestHierEquivalenceSuite(t *testing.T) {
-	eq := runHierEquivalence(HierOptions{Seed: 7}.withDefaults())
-	if eq.Exact != eq.Cases || eq.Cases == 0 {
-		t.Fatalf("equivalence suite: %d/%d exact", eq.Exact, eq.Cases)
+	eq := runHierEquivalence(7)
+	t.Logf("%d/%d exact over %d topologies, quotient share %.2f, quality ratio %.4f",
+		eq.exact, eq.cases, eq.topologies, eq.quotientShare, eq.qualityRatio)
+	if eq.topologies != hierEquivTopologies || eq.cases == 0 {
+		t.Fatalf("equivalence suite ran %d topologies, %d comparisons", eq.topologies, eq.cases)
 	}
-	if eq.QuotientShare < 0.5 {
-		t.Fatalf("quotient share %.2f: the suite barely exercises the collapse", eq.QuotientShare)
+	if eq.exact != eq.cases {
+		t.Fatalf("equivalence suite: %d of %d comparisons diverged", eq.cases-eq.exact, eq.cases)
 	}
-	if eq.QualityRatio != 1 {
-		t.Fatalf("quality ratio %.6f with exact equivalence, want exactly 1", eq.QualityRatio)
+	if eq.quotientShare < 0.5 {
+		t.Fatalf("quotient share %.2f: the suite barely exercises the collapse", eq.quotientShare)
+	}
+	if eq.qualityRatio != 1 {
+		t.Fatalf("quality ratio %.6f with exact equivalence, want exactly 1", eq.qualityRatio)
 	}
 }
 

@@ -12,69 +12,56 @@ import (
 )
 
 // SLOOptions parameterizes the sustained-load SLO run: an in-process
-// selectd over the CMU testbed topology, hammered with plain /select
-// requests, the per-request latencies reduced to the percentile summary in
-// loadgen.SLOReport.
+// selectd over the CMU testbed topology, hammered with 5000 plain
+// /select{"m": 4} requests from 4 workers, the per-request latencies
+// reduced to the percentile summary in loadgen.SLOReport.
 type SLOOptions struct {
 	// Seed randomizes the background load painted onto the topology.
 	Seed int64
-	// Requests, Warmup, Concurrency mirror loadgen.SLOConfig.
-	Requests    int
-	Warmup      int
-	Concurrency int
-	// M is the node count each /select asks for (default 4).
-	M int
-	// NoTrace disables request tracing — used to measure the tracing
-	// overhead by differencing a traced and an untraced run.
-	NoTrace bool
 }
 
-func (o SLOOptions) withDefaults() SLOOptions {
-	if o.Requests <= 0 {
-		o.Requests = 5000
-	}
-	if o.Concurrency <= 0 {
-		o.Concurrency = 4
-	}
-	if o.M <= 0 {
-		o.M = 4
-	}
-	return o
-}
+// The budget RunSLO gates on. The p99 budget has ~50x headroom over the
+// healthy cached path, so it only trips on real regressions (a broken plan
+// cache, per-request sweeps), not CI noise; p999 is left ungated because
+// single GC pauses own it.
+const (
+	sloMaxP99Ms     = 5
+	sloMaxErrorRate = 0.001
+)
 
 // RunSLO stands up an in-process placement service (static CMU-testbed
-// source, plan cache on, tracing per options) and runs the sustained-load
-// harness against its handler. The returned report is what `make slo`
-// writes to slo.json and what cmd/benchdiff's -slo mode gates on.
+// source, plan cache and request tracing on), runs the sustained-load
+// harness against its handler, and gates the report: p99 at most 5 ms and
+// a 5xx rate at most 0.001.
 func RunSLO(opt SLOOptions) (loadgen.SLOReport, error) {
-	opt = opt.withDefaults()
 	g := testbed.CMU()
 	src := remos.NewStaticSource(g)
 	rng := randx.New(opt.Seed).Split("slo")
 	for _, id := range g.ComputeNodes() {
 		src.SetLoad(id, 2*rng.Float64())
 	}
-	cfg := selectsvc.Config{
+	svc := selectsvc.New(src, selectsvc.Config{
 		Collector:   remos.CollectorConfig{History: 8},
 		DefaultMode: remos.Current,
 		Seed:        opt.Seed,
-	}
-	cfg.Trace.Disabled = opt.NoTrace
-	svc := selectsvc.New(src, cfg)
+	})
 	if err := svc.Poll(); err != nil {
 		return loadgen.SLOReport{}, fmt.Errorf("slo: initial poll: %w", err)
 	}
-	return loadgen.RunSLO(loadgen.SLOConfig{
-		Handler:     svc.Handler(),
-		Body:        []byte(fmt.Sprintf(`{"m": %d}`, opt.M)),
-		Requests:    opt.Requests,
-		Warmup:      opt.Warmup,
-		Concurrency: opt.Concurrency,
+	rep, err := loadgen.RunSLO(loadgen.SLOConfig{
+		Handler:  svc.Handler(),
+		Body:     []byte(`{"m": 4}`),
+		Requests: 5000,
 	})
+	if err != nil {
+		return rep, err
+	}
+	rep.Failures = rep.Check(loadgen.SLOBudget{MaxP99Ms: sloMaxP99Ms, MaxErrorRate: sloMaxErrorRate})
+	rep.Pass = len(rep.Failures) == 0
+	return rep, nil
 }
 
-// FormatSLO renders a report as a human-readable block (slo.json carries
-// the same numbers machine-readably).
+// FormatSLO renders a report and its verdict as a human-readable block.
 func FormatSLO(r loadgen.SLOReport) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "SLO run: %s, %d requests, concurrency %d\n", r.Target, r.Requests, r.Concurrency)
@@ -82,5 +69,11 @@ func FormatSLO(r loadgen.SLOReport) string {
 	fmt.Fprintf(&b, "  latency ms  p50 %.3f  p90 %.3f  p99 %.3f  p999 %.3f  max %.3f\n",
 		r.LatencyMs.P50, r.LatencyMs.P90, r.LatencyMs.P99, r.LatencyMs.P999, r.LatencyMs.Max)
 	fmt.Fprintf(&b, "  errors      %d (rate %.4f), statuses %v\n", r.Errors, r.ErrorRate, r.StatusClasses)
+	fmt.Fprintf(&b, "  budget      p99 <= %gms, 5xx rate <= %g\n", float64(sloMaxP99Ms), sloMaxErrorRate)
+	if r.Pass {
+		fmt.Fprintf(&b, "  PASS\n")
+	} else {
+		fmt.Fprintf(&b, "  FAIL: %s\n", strings.Join(r.Failures, "; "))
+	}
 	return b.String()
 }

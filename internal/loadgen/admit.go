@@ -15,7 +15,7 @@ import (
 // independent reps (each on a fresh service and ledger, so one rep's
 // accumulated leases cannot bleed into the next), and the per-rep
 // throughput samples are compared with Welch's t-test. This is the engine
-// behind `expt -run admit` and the benchdiff -admit gate.
+// behind `expt -run admit`.
 
 // AdmitConfig parameterizes one admission mode's rep loop.
 type AdmitConfig struct {
@@ -47,19 +47,19 @@ func (c AdmitConfig) withDefaults() AdmitConfig {
 
 // AdmitModeReport summarizes one admission mode across its reps.
 type AdmitModeReport struct {
-	Requests    int `json:"requests"`
-	Concurrency int `json:"concurrency"`
-	Reps        int `json:"reps"`
+	Requests    int
+	Concurrency int
+	Reps        int
 	// ThroughputSamples is the per-rep selects/s — the input to the Welch
-	// comparison (kept raw so benchdiff can recompute the test).
-	ThroughputSamples []float64 `json:"throughput_samples"`
+	// comparison.
+	ThroughputSamples []float64
 	// ThroughputRPS is the mean of the samples.
-	ThroughputRPS float64 `json:"throughput_rps"`
+	ThroughputRPS float64
 	// LatencyMs averages each percentile across reps.
-	LatencyMs SLOLatency `json:"latency_ms"`
+	LatencyMs SLOLatency
 	// ErrorRate is the worst rep's rate: one bad rep must not hide in the
 	// mean.
-	ErrorRate float64 `json:"error_rate"`
+	ErrorRate float64
 }
 
 // RunAdmitMode runs one admission mode's rep loop.
@@ -111,35 +111,29 @@ func RunAdmitMode(cfg AdmitConfig) (AdmitModeReport, error) {
 	return rep, nil
 }
 
-// AdmitReport is the A/B comparison written to admit.json and gated by
-// cmd/benchdiff -admit.
+// AdmitReport is the A/B comparison and its verdict.
 type AdmitReport struct {
-	Serial  AdmitModeReport `json:"serial"`
-	Batched AdmitModeReport `json:"batched"`
+	Serial  AdmitModeReport
+	Batched AdmitModeReport
 	// Speedup is batched mean throughput over serial's.
-	Speedup float64 `json:"speedup"`
+	Speedup float64
 	// WelchP is the two-sided Welch t-test p-value over the throughput
 	// samples.
-	WelchP float64 `json:"welch_p"`
+	WelchP float64
 	// P99Ratio is batched p99 latency over serial's.
-	P99Ratio float64 `json:"p99_ratio"`
-	// The thresholds the report was gated with, echoed for benchdiff.
-	MinSpeedup  float64 `json:"min_speedup"`
-	MaxP99Ratio float64 `json:"max_p99_ratio"`
-	Alpha       float64 `json:"alpha"`
-	// Pass and Failures are Gate's verdict.
-	Pass     bool     `json:"pass"`
-	Failures []string `json:"failures,omitempty"`
+	P99Ratio float64
+	// Pass and Failures are GateAdmit's verdict.
+	Pass     bool
+	Failures []string
 }
 
 // GateAdmit compares the two modes and applies the thresholds: batched
 // throughput must beat serial by minSpeedup with Welch p below alpha, and
-// batched p99 latency must stay within maxP99Ratio of serial's.
+// batched p99 latency must stay within maxP99Ratio of serial's. Fewer than
+// two samples a side leave Welch's p NaN, which fails the significance
+// check rather than passing an unfalsifiable test.
 func GateAdmit(serial, batched AdmitModeReport, minSpeedup, maxP99Ratio, alpha float64) AdmitReport {
-	r := AdmitReport{
-		Serial: serial, Batched: batched,
-		MinSpeedup: minSpeedup, MaxP99Ratio: maxP99Ratio, Alpha: alpha,
-	}
+	r := AdmitReport{Serial: serial, Batched: batched}
 	var sS, sB stats.Sample
 	sS.AddAll(serial.ThroughputSamples...)
 	sB.AddAll(batched.ThroughputSamples...)

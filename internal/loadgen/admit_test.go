@@ -1,6 +1,7 @@
 package loadgen
 
 import (
+	"math"
 	"net/http"
 	"strings"
 	"testing"
@@ -58,10 +59,14 @@ func TestGateAdmitFailures(t *testing.T) {
 		t.Fatalf("3x p99 blowup passed a 2x cap: %+v", r)
 	}
 
-	// Too few samples for the t-test at all.
+	// Too few samples for the t-test at all: Welch's p is NaN, and a NaN p
+	// must fail significance on either side, not read as a pass.
 	thin := modeReport([]float64{400}, 50)
-	if r := GateAdmit(serial, thin, 3.0, 2.0, 0.005); r.Pass {
-		t.Fatalf("single-sample mode passed: %+v", r)
+	if r := GateAdmit(serial, thin, 3.0, 2.0, 0.005); r.Pass || !math.IsNaN(r.WelchP) || !hasFailure(r, "welch") {
+		t.Fatalf("single-sample batched mode passed or dodged the t-test: %+v", r)
+	}
+	if r := GateAdmit(modeReport([]float64{100}, 50), modeReport([]float64{400, 410}, 50), 3.0, 2.0, 0.005); r.Pass || !hasFailure(r, "welch") {
+		t.Fatalf("single-sample serial mode passed or dodged the t-test: %+v", r)
 	}
 }
 

@@ -62,26 +62,24 @@ func (c SLOConfig) withDefaults() SLOConfig {
 
 // SLOLatency is the latency summary, in milliseconds.
 type SLOLatency struct {
-	Mean float64 `json:"mean"`
-	P50  float64 `json:"p50"`
-	P90  float64 `json:"p90"`
-	P99  float64 `json:"p99"`
-	P999 float64 `json:"p999"`
-	Max  float64 `json:"max"`
+	Mean, P50, P90, P99, P999, Max float64
 }
 
-// SLOReport is the machine-readable result of a run — the shape written to
-// slo.json and consumed by the benchdiff -slo gate.
+// SLOReport is the result of a run.
 type SLOReport struct {
-	Target          string         `json:"target"`
-	Requests        int            `json:"requests"`
-	Concurrency     int            `json:"concurrency"`
-	Errors          int            `json:"errors"`
-	ErrorRate       float64        `json:"error_rate"`
-	DurationSeconds float64        `json:"duration_seconds"`
-	ThroughputRPS   float64        `json:"throughput_rps"`
-	LatencyMs       SLOLatency     `json:"latency_ms"`
-	StatusClasses   map[string]int `json:"status_classes"`
+	Target          string
+	Requests        int
+	Concurrency     int
+	Errors          int
+	ErrorRate       float64
+	DurationSeconds float64
+	ThroughputRPS   float64
+	LatencyMs       SLOLatency
+	StatusClasses   map[string]int
+	// Pass and Failures are the verdict of Check against the budget of
+	// whoever gates the run; RunSLO only measures.
+	Pass     bool
+	Failures []string
 }
 
 // RunSLO drives Concurrency workers through Requests requests against the
@@ -198,27 +196,23 @@ func RunSLO(cfg SLOConfig) (SLOReport, error) {
 // SLOBudget is the pass/fail gate for a report. Zero fields are not
 // enforced.
 type SLOBudget struct {
-	// MaxP99Ms and MaxP999Ms bound the latency tail, in milliseconds.
-	MaxP99Ms  float64
-	MaxP999Ms float64
+	// MaxP99Ms bounds the latency tail, in milliseconds.
+	MaxP99Ms float64
 	// MaxErrorRate bounds the fraction of requests answered >= 500.
 	MaxErrorRate float64
 }
 
-// Check returns a joined error naming every budget the report blows, nil
-// when all enforced budgets hold.
-func (r SLOReport) Check(b SLOBudget) error {
-	var errs []error
+// Check returns one line per enforced budget the report blows, none when
+// all of them hold.
+func (r SLOReport) Check(b SLOBudget) []string {
+	var failures []string
 	if b.MaxP99Ms > 0 && r.LatencyMs.P99 > b.MaxP99Ms {
-		errs = append(errs, fmt.Errorf("p99 %.3fms exceeds budget %.3fms", r.LatencyMs.P99, b.MaxP99Ms))
-	}
-	if b.MaxP999Ms > 0 && r.LatencyMs.P999 > b.MaxP999Ms {
-		errs = append(errs, fmt.Errorf("p999 %.3fms exceeds budget %.3fms", r.LatencyMs.P999, b.MaxP999Ms))
+		failures = append(failures, fmt.Sprintf("p99 %.3fms exceeds budget %.3fms", r.LatencyMs.P99, b.MaxP99Ms))
 	}
 	if b.MaxErrorRate > 0 && r.ErrorRate > b.MaxErrorRate {
-		errs = append(errs, fmt.Errorf("error rate %.4f exceeds budget %.4f", r.ErrorRate, b.MaxErrorRate))
+		failures = append(failures, fmt.Sprintf("error rate %.4f exceeds budget %.4f", r.ErrorRate, b.MaxErrorRate))
 	}
-	return errors.Join(errs...)
+	return failures
 }
 
 // statusClassOf buckets a status for the report ("2xx", "5xx", ...).

@@ -43,11 +43,6 @@ func (n *Network) setLinkFailed(link int, failed bool) {
 		ch1.setFailed(n.Now(), failed)
 	}
 	n.reallocate()
-	kind := LinkRepair
-	if failed {
-		kind = LinkFail
-	}
-	n.emit(Event{Kind: kind, Node: -1, Src: -1, Dst: -1, Link: link})
 }
 
 // setFailed flips the channel's effective capacity, accruing counters at

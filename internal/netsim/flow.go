@@ -86,7 +86,6 @@ type Flow struct {
 	id        int
 	src, dst  int
 	class     Class
-	bytes     float64 // original transfer size in bytes
 	remaining float64 // bits left to transfer
 	rate      float64 // current bits/second
 	latency   float64 // one-way path latency applied to delivery
@@ -127,7 +126,7 @@ func (n *Network) StartFlow(src, dst int, bytes float64, cls Class, done func())
 	}
 	f := &Flow{
 		net: n, id: n.flowSeq, src: src, dst: dst,
-		class: cls, bytes: bytes, remaining: bytes * 8, done: done,
+		class: cls, remaining: bytes * 8, done: done,
 		latency: n.graph.PathLatency(src, dst),
 	}
 	n.flowSeq++
@@ -156,7 +155,6 @@ func (n *Network) StartFlow(src, dst int, bytes float64, cls Class, done func())
 	n.advanceFlows()
 	n.flows = append(n.flows, f)
 	n.reallocate()
-	n.emit(flowEvent(FlowStart, f))
 	return f
 }
 
@@ -169,7 +167,6 @@ func (f *Flow) Cancel() {
 	f.net.advanceFlows()
 	f.net.removeFlow(f)
 	f.net.reallocate()
-	f.net.emit(flowEvent(FlowCancel, f))
 }
 
 // removeFlow detaches a flow from the network and its channels.
@@ -324,7 +321,6 @@ func (n *Network) onFlowCompletion() {
 	for _, f := range finished {
 		f.finished = true
 		n.removeFlow(f)
-		n.emit(flowEvent(FlowEnd, f))
 	}
 	n.reallocate()
 	for _, f := range finished {

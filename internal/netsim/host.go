@@ -71,7 +71,6 @@ func (h *Host) speed() float64 { return h.net.graph.Node(h.node).Speed }
 // Task is a unit of CPU work executing on a host.
 type Task struct {
 	host      *Host
-	demand    float64 // original CPU demand in seconds
 	remaining float64 // CPU-seconds at unit speed
 	class     Class
 	done      func()
@@ -101,11 +100,10 @@ func (n *Network) StartTask(node int, demand float64, cls Class, done func()) *T
 	}
 	h := n.hosts[node]
 	h.advance()
-	t := &Task{host: h, demand: demand, remaining: demand, class: cls, done: done}
+	t := &Task{host: h, remaining: demand, class: cls, done: done}
 	h.tasks = append(h.tasks, t)
 	h.noteQueueChange()
 	h.reschedule()
-	n.emit(taskEvent(TaskStart, t))
 	return t
 }
 
@@ -121,7 +119,6 @@ func (t *Task) Cancel() {
 	h.removeTask(t)
 	h.noteQueueChange()
 	h.reschedule()
-	h.net.emit(taskEvent(TaskCancel, t))
 }
 
 // advance accrues progress on all tasks for the time elapsed since the last
@@ -197,7 +194,6 @@ func (h *Host) onCompletion() {
 	h.noteQueueChange()
 	h.reschedule()
 	for _, t := range finished {
-		h.net.emit(taskEvent(TaskEnd, t))
 		if t.done != nil {
 			t.done()
 		}

@@ -67,8 +67,6 @@ type Network struct {
 	// half-duplex links both directions share channel [link][0].
 	chanIndex [][2]int
 
-	observer Observer
-
 	flows          []*Flow // active flows in start order
 	flowSeq        int
 	flowStamp      float64    // time flows' progress was last advanced
