@@ -314,6 +314,9 @@ type residCache struct {
 	// since view was last patched. Tracked only while a view exists.
 	dirtyNodes map[int]struct{}
 	dirtyLinks map[int]struct{}
+	// shared marks a view Residual has handed out: callers may hold it
+	// indefinitely, so the next change patches a copy instead.
+	shared bool
 }
 
 // New builds a ledger over the graph. When opts.WAL is set, the WAL's
@@ -512,9 +515,10 @@ func (l *Ledger) addLinkBW(lid int, delta float64) {
 // same float operations on the same inputs, so the two are bitwise
 // identical — Options.CrossCheck asserts that on every call.
 //
-// The returned view is owned by the ledger and valid only until l.mu is
-// released: placement callbacks may read it during their call but must
-// not retain it. The public Residual clones before handing it out.
+// The returned view is owned by the ledger: placement callbacks may read it
+// during their call but must not retain it, because the next derivation
+// patches it in place — unless Residual has handed it out, in which case
+// that derivation patches a copy and the handed-out view stays as it was.
 // Callers hold l.mu.
 func (l *Ledger) residualLocked(snap *topology.Snapshot) *topology.Snapshot {
 	if l.nonzeroDebits == 0 {
@@ -523,10 +527,13 @@ func (l *Ledger) residualLocked(snap *topology.Snapshot) *topology.Snapshot {
 	c := &l.resid
 	if c.view == nil || c.base != snap || c.baseGen != snap.Gen() {
 		c.base, c.baseGen = snap, snap.Gen()
-		c.view = residualFrom(snap, l.nodeCPU, l.linkBW)
+		c.view, c.shared = residualFrom(snap, l.nodeCPU, l.linkBW), false
 		clear(c.dirtyNodes)
 		clear(c.dirtyLinks)
-	} else {
+	} else if len(c.dirtyNodes)+len(c.dirtyLinks) > 0 {
+		if c.shared {
+			c.view, c.shared = c.view.Clone(), false
+		}
 		for id := range c.dirtyNodes {
 			if committed := l.nodeCPU[id]; committed > 0 {
 				cpu := snap.CPU(id) - committed
@@ -597,20 +604,20 @@ func residualFrom(snap *topology.Snapshot, nodeCPU, linkBW []float64) *topology.
 
 // Residual returns the residual view of snap: measured capacities minus
 // committed reservations, after sweeping expired leases. The selection
-// algorithms consume it exactly like a raw snapshot. With no reservations
-// the input snapshot itself is returned — no allocation — so callers must
-// treat the result as read-only; with reservations the result is a fresh
-// copy the caller owns.
+// algorithms consume it exactly like a raw snapshot. The result is shared
+// and read-only: with no reservations it is the input snapshot itself, and
+// with reservations it is the ledger's current view, which never changes
+// once handed out — the next commit's derivation patches a copy — so every
+// caller between two commits gets the same view and none pays a clone.
 func (l *Ledger) Residual(snap *topology.Snapshot) *topology.Snapshot {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.sweepLocked(l.opt.Now())
 	r := l.residualLocked(snap)
-	if r == snap {
-		return snap
+	if r != snap {
+		l.resid.shared = true
 	}
-	// The ledger keeps patching its cached view; hand out a copy.
-	return r.Clone()
+	return r
 }
 
 // ResidualExcluding returns the residual view of snap with the named

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"nodeselect/internal/measure"
@@ -122,9 +123,9 @@ type sample struct {
 // entity's age is tracked for Health, Freshness and the MaxStaleAge
 // ceiling.
 //
-// Health and Freshness are properties of a poll: nothing they are computed
-// from changes between two polls, so PollCtx computes them once and the
-// accessors return what it stored.
+// Every poll publishes a View: the sample window as of that poll with the
+// Health and Freshness summarizing it, computed once, where their inputs
+// change. Queries answer from the latest View.
 type Collector struct {
 	src     Source
 	cfg     CollectorConfig
@@ -150,10 +151,25 @@ type Collector struct {
 	nodeSrcAge []float64
 	linkSrcAge []float64
 
-	// The latest poll's Freshness and the Health summarizing it. A poll
-	// publishes new age arrays and never writes to the ones it replaces.
-	fresh  Freshness
-	health Health
+	// view is the latest poll's measurements. A poll publishes a new View
+	// and never writes to the one it replaces.
+	view *View
+}
+
+// View is the collector's measurements as of one poll: the sample window,
+// the per-entity ages and the Health summarizing them. Nothing in it
+// changes after the poll that published it — the next poll publishes a new
+// View — so any number of goroutines may query one View while the
+// collector polls on, and every query of it answers from the same poll.
+type View struct {
+	graph    *topology.Graph
+	cfg      CollectorConfig
+	metrics  *CollectorMetrics
+	samples  []sample // the window as of the poll, oldest first
+	polls    int
+	degraded bool
+	fresh    Freshness
+	health   Health
 }
 
 // NewCollector builds a collector over src. Call Poll (or Start, to attach
@@ -171,8 +187,12 @@ func NewCollector(src Source, cfg CollectorConfig) *Collector {
 		linkRateBG: make([]float64, g.NumLinks()),
 		nodeSrcAge: make([]float64, g.NumNodes()),
 		linkSrcAge: make([]float64, g.NumLinks()),
-		fresh:      Freshness{NodeAge: make([]float64, g.NumNodes()), LinkAge: make([]float64, g.NumLinks())},
-		health:     Health{State: HealthStale},
+		view: &View{
+			graph:  g,
+			cfg:    cfg,
+			fresh:  Freshness{NodeAge: make([]float64, g.NumNodes()), LinkAge: make([]float64, g.NumLinks())},
+			health: Health{State: HealthStale},
+		},
 	}
 }
 
@@ -224,8 +244,17 @@ func (c *Collector) PollCtx(ctx context.Context) {
 		c.samples = c.samples[1:]
 	}
 	c.polls++
-	c.fresh = c.freshnessNow()
-	c.health = c.healthOf(c.fresh)
+	fresh := c.freshnessNow()
+	c.view = &View{
+		graph:    c.graph,
+		cfg:      c.cfg,
+		metrics:  c.metrics,
+		samples:  slices.Clone(c.samples),
+		polls:    c.polls,
+		degraded: c.degraded,
+		fresh:    fresh,
+		health:   c.healthOf(fresh),
+	}
 	if m := c.metrics; m != nil {
 		m.Polls.Inc()
 		m.PollSeconds.Observe(c.clock.Now().Sub(t0).Seconds())
@@ -235,7 +264,7 @@ func (c *Collector) PollCtx(ctx context.Context) {
 		if c.degraded {
 			m.DegradedPolls.Inc()
 		}
-		h := c.health
+		h := c.view.health
 		m.StaleNodes.Set(float64(h.StaleNodes))
 		m.DegradedNodes.Set(float64(h.DegradedNodes))
 		m.StaleLinks.Set(float64(h.StaleLinks))
@@ -336,12 +365,17 @@ func (c *Collector) linkAge(link int) float64 {
 
 // Health summarizes the freshness of the collector's view as of the latest
 // poll (HealthStale before the first).
-func (c *Collector) Health() Health { return c.health }
+func (c *Collector) Health() Health { return c.view.health }
 
 // Freshness reports the per-entity measurement ages as of the latest poll.
 // The arrays are shared by every caller of one poll epoch and read-only: a
 // later poll publishes new ones, so a reader keeps the epoch it started in.
-func (c *Collector) Freshness() Freshness { return c.fresh }
+func (c *Collector) Freshness() Freshness { return c.view.fresh }
+
+// View returns the latest poll's measurements. The collector itself is
+// unsynchronized, but a View may be handed to any number of goroutines:
+// they keep answering from that poll however many polls follow.
+func (c *Collector) View() *View { return c.view }
 
 // freshnessNow builds the age arrays of the current bookkeeping.
 func (c *Collector) freshnessNow() Freshness {
@@ -425,17 +459,34 @@ func (c *Collector) Start(engine *sim.Engine) (stop func()) {
 	return engine.Every(0, p, "remos-poll", func(sim.Time) { c.Poll() })
 }
 
+// Snapshot assembles a topology snapshot under the given mode from the
+// latest poll (see View.Snapshot).
+func (c *Collector) Snapshot(mode Mode, backgroundOnly bool) (*topology.Snapshot, error) {
+	return c.view.Snapshot(mode, backgroundOnly)
+}
+
+// Polls returns how many samples the collector had taken at this view.
+func (v *View) Polls() int { return v.polls }
+
+// Health summarizes the view's freshness (HealthStale before the first
+// poll).
+func (v *View) Health() Health { return v.health }
+
+// Freshness reports the view's per-entity measurement ages. The arrays are
+// shared by every reader of the view: read-only.
+func (v *View) Freshness() Freshness { return v.fresh }
+
 // Snapshot assembles a topology snapshot under the given mode. With
 // backgroundOnly true, the application's own load and traffic are excluded
-// from the answer.
-func (c *Collector) Snapshot(mode Mode, backgroundOnly bool) (*topology.Snapshot, error) {
-	s, err := c.snapshot(mode, backgroundOnly)
-	if m := c.metrics; m != nil {
+// from the answer. Every call builds a fresh snapshot the caller owns.
+func (v *View) Snapshot(mode Mode, backgroundOnly bool) (*topology.Snapshot, error) {
+	s, err := v.snapshot(mode, backgroundOnly)
+	if m := v.metrics; m != nil {
 		if err != nil {
 			m.QueryErrors.Inc()
 		} else {
 			m.Queries.With(mode.String()).Inc()
-			if c.degraded {
+			if v.degraded {
 				m.DegradedQueries.Inc()
 			}
 		}
@@ -445,20 +496,20 @@ func (c *Collector) Snapshot(mode Mode, backgroundOnly bool) (*topology.Snapshot
 
 // snapshot is Snapshot without the metrics accounting, so the Trend
 // fallback recursion counts as one query.
-func (c *Collector) snapshot(mode Mode, backgroundOnly bool) (*topology.Snapshot, error) {
-	if len(c.samples) == 0 {
+func (v *View) snapshot(mode Mode, backgroundOnly bool) (*topology.Snapshot, error) {
+	if len(v.samples) == 0 {
 		return nil, ErrNoData
 	}
 	// Answer from last-known-good data while any compute node is within
 	// the staleness ceiling; beyond it, a typed error beats serving a view
 	// of a network that may no longer exist.
-	if max := c.cfg.MaxStaleAge; max > 0 {
+	if max := v.cfg.MaxStaleAge; max > 0 {
 		minAge := math.Inf(1)
-		for i := 0; i < c.graph.NumNodes(); i++ {
-			if c.graph.Node(i).Kind != topology.Compute {
+		for i := 0; i < v.graph.NumNodes(); i++ {
+			if v.graph.Node(i).Kind != topology.Compute {
 				continue
 			}
-			if age := c.nodeAge(i); age < minAge {
+			if age := v.fresh.NodeAge[i]; age < minAge {
 				minAge = age
 			}
 		}
@@ -466,8 +517,8 @@ func (c *Collector) snapshot(mode Mode, backgroundOnly bool) (*topology.Snapshot
 			return nil, &StaleError{AgeSeconds: minAge, MaxAge: max}
 		}
 	}
-	out := topology.NewSnapshot(c.graph)
-	last := c.samples[len(c.samples)-1]
+	out := topology.NewSnapshot(v.graph)
+	last := v.samples[len(v.samples)-1]
 	out.Time = last.time
 
 	loadsOf := func(s sample) []float64 {
@@ -486,43 +537,43 @@ func (c *Collector) snapshot(mode Mode, backgroundOnly bool) (*topology.Snapshot
 	switch mode {
 	case Current:
 		copy(out.LoadAvg, loadsOf(last))
-		if len(c.samples) < 2 {
+		if len(v.samples) < 2 {
 			// One sample: report loads but full link availability — no
 			// interval to rate over yet.
 			break
 		}
-		prev := c.samples[len(c.samples)-2]
+		prev := v.samples[len(v.samples)-2]
 		dt := last.time - prev.time
-		for l := 0; l < c.graph.NumLinks(); l++ {
+		for l := 0; l < v.graph.NumLinks(); l++ {
 			used := rateOver(bitsOf(prev)[l], bitsOf(last)[l], dt)
-			out.SetAvailBW(l, c.graph.Link(l).Capacity-used)
+			out.SetAvailBW(l, v.graph.Link(l).Capacity-used)
 		}
 	case Window:
-		first := c.samples[0]
+		first := v.samples[0]
 		for i := range out.LoadAvg {
 			sum := 0.0
-			for _, s := range c.samples {
+			for _, s := range v.samples {
 				sum += loadsOf(s)[i]
 			}
-			out.LoadAvg[i] = sum / float64(len(c.samples))
+			out.LoadAvg[i] = sum / float64(len(v.samples))
 		}
 		dt := last.time - first.time
-		for l := 0; l < c.graph.NumLinks(); l++ {
+		for l := 0; l < v.graph.NumLinks(); l++ {
 			used := rateOver(bitsOf(first)[l], bitsOf(last)[l], dt)
-			out.SetAvailBW(l, c.graph.Link(l).Capacity-used)
+			out.SetAvailBW(l, v.graph.Link(l).Capacity-used)
 		}
 	case Forecast:
-		if len(c.samples) < 2 {
+		if len(v.samples) < 2 {
 			copy(out.LoadAvg, loadsOf(last))
 			break
 		}
-		alpha := c.cfg.alpha()
+		alpha := v.cfg.alpha()
 		// Exponentially smooth per-interval link usage and loads.
-		smoothUsed := make([]float64, c.graph.NumLinks())
-		smoothLoad := make([]float64, c.graph.NumNodes())
-		copy(smoothLoad, loadsOf(c.samples[0]))
-		for i := 1; i < len(c.samples); i++ {
-			prev, cur := c.samples[i-1], c.samples[i]
+		smoothUsed := make([]float64, v.graph.NumLinks())
+		smoothLoad := make([]float64, v.graph.NumNodes())
+		copy(smoothLoad, loadsOf(v.samples[0]))
+		for i := 1; i < len(v.samples); i++ {
+			prev, cur := v.samples[i-1], v.samples[i]
 			dt := cur.time - prev.time
 			for l := range smoothUsed {
 				used := rateOver(bitsOf(prev)[l], bitsOf(cur)[l], dt)
@@ -537,26 +588,26 @@ func (c *Collector) snapshot(mode Mode, backgroundOnly bool) (*topology.Snapshot
 			}
 		}
 		copy(out.LoadAvg, smoothLoad)
-		for l := 0; l < c.graph.NumLinks(); l++ {
-			out.SetAvailBW(l, c.graph.Link(l).Capacity-smoothUsed[l])
+		for l := 0; l < v.graph.NumLinks(); l++ {
+			out.SetAvailBW(l, v.graph.Link(l).Capacity-smoothUsed[l])
 		}
 	case Trend:
-		if len(c.samples) < 3 {
+		if len(v.samples) < 3 {
 			// Too little history to fit a slope; fall back to Current.
-			return c.snapshot(Current, backgroundOnly)
+			return v.snapshot(Current, backgroundOnly)
 		}
 		// Per-interval used bandwidth and per-sample loads, with their
 		// midpoint (resp. sample) times, fitted and extrapolated one
 		// period past the last sample.
-		horizon := last.time + c.cfg.period()
-		nLinks := c.graph.NumLinks()
-		times := make([]float64, 0, len(c.samples)-1)
+		horizon := last.time + v.cfg.period()
+		nLinks := v.graph.NumLinks()
+		times := make([]float64, 0, len(v.samples)-1)
 		used := make([][]float64, nLinks)
 		for l := range used {
-			used[l] = make([]float64, 0, len(c.samples)-1)
+			used[l] = make([]float64, 0, len(v.samples)-1)
 		}
-		for i := 1; i < len(c.samples); i++ {
-			prev, cur := c.samples[i-1], c.samples[i]
+		for i := 1; i < len(v.samples); i++ {
+			prev, cur := v.samples[i-1], v.samples[i]
 			dt := cur.time - prev.time
 			times = append(times, (prev.time+cur.time)/2)
 			for l := 0; l < nLinks; l++ {
@@ -565,12 +616,12 @@ func (c *Collector) snapshot(mode Mode, backgroundOnly bool) (*topology.Snapshot
 		}
 		for l := 0; l < nLinks; l++ {
 			pred := extrapolate(times, used[l], horizon)
-			out.SetAvailBW(l, c.graph.Link(l).Capacity-pred)
+			out.SetAvailBW(l, v.graph.Link(l).Capacity-pred)
 		}
-		sampleTimes := make([]float64, len(c.samples))
-		series := make([]float64, len(c.samples))
+		sampleTimes := make([]float64, len(v.samples))
+		series := make([]float64, len(v.samples))
 		for nd := range out.LoadAvg {
-			for i, s := range c.samples {
+			for i, s := range v.samples {
 				sampleTimes[i] = s.time
 				series[i] = loadsOf(s)[nd]
 			}

@@ -64,7 +64,8 @@ func NewCollectorMetrics(reg *metrics.Registry) *CollectorMetrics {
 	}
 }
 
-// SetMetrics attaches a metric set to the collector (nil detaches). The
-// collector is unsynchronized, so call this before polling starts, from
-// the same goroutine discipline that drives Poll.
-func (c *Collector) SetMetrics(m *CollectorMetrics) { c.metrics = m }
+// SetMetrics attaches a metric set to the collector and the views it
+// publishes (nil detaches). The collector is unsynchronized, so call this
+// before polling starts, from the same goroutine discipline that drives
+// Poll.
+func (c *Collector) SetMetrics(m *CollectorMetrics) { c.metrics, c.view.metrics = m, m }
