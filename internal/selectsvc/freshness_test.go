@@ -203,14 +203,13 @@ func concurrentEpochs(t *testing.T, excludeStale bool) {
 
 // TestHierarchySelectAllocBudget bounds what one warmed -hierarchy advisory
 // select allocates end to end on the benchmark's 10 101-node input, plan
-// cache missed every time as tiered10k_hier's requests do: ≤ 215 KB a
-// request (185 measured, 188 under the race detector). ≈ 165 KB of that is
-// the request's own snapshot (Collector.Snapshot: a fresh, caller-owned copy
-// per request by contract). Each of the costs that once sat on top breaks the
-// bound alone: two per-request age arrays (≈ 160 KB), a Result and a key
-// string per scored set (≈ 100 KB), or a sweep working set regrown after a
-// collection (≈ 3.5 MB each time; core's free list keeps it, on any number
-// of Ps and under the race detector too).
+// cache missed every time as tiered10k_hier's requests do: ≤ 40 KB a
+// request (20 measured, 22 under the race detector). Each of the costs that
+// once sat on top breaks the bound alone: a snapshot built per request
+// instead of once per poll epoch and mode (≈ 165 KB), two per-request age
+// arrays (≈ 160 KB), a Result and a key string per scored set (≈ 100 KB), or
+// a sweep working set regrown after a collection (≈ 3.5 MB each time; core's
+// free list keeps it, on any number of Ps and under the race detector too).
 func TestHierarchySelectAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 10k-node topology")
@@ -249,7 +248,7 @@ func TestHierarchySelectAllocBudget(t *testing.T) {
 	if got := svc.metrics.hierRequests.With("quotient").Value(); got != warm+n {
 		t.Fatalf("%v of %d selects ran grouped", got, warm+n)
 	}
-	if perReq := float64(after.TotalAlloc-before.TotalAlloc) / n / 1024; perReq > 215 {
-		t.Fatalf("warmed hierarchical select allocates %.0f KB a request, want ≤ 215", perReq)
+	if perReq := float64(after.TotalAlloc-before.TotalAlloc) / n / 1024; perReq > 40 {
+		t.Fatalf("warmed hierarchical select allocates %.0f KB a request, want ≤ 40", perReq)
 	}
 }
