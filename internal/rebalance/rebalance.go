@@ -390,7 +390,7 @@ func (c *Controller) tick(ctx context.Context, snap *topology.Snapshot, epoch Ep
 		}
 	}
 	// Leases that were released or expired take their controller state with
-	// them.
+	// them, and a cooldown ends when its deadline passes.
 	for id := range c.pending {
 		if !seen[id] {
 			delete(c.pending, id)
@@ -399,6 +399,11 @@ func (c *Controller) tick(ctx context.Context, snap *topology.Snapshot, epoch Ep
 	for id := range c.streaks {
 		if !seen[id] {
 			delete(c.streaks, id)
+		}
+	}
+	for id, until := range c.cooldown {
+		if !seen[id] || !now.Before(until) {
+			delete(c.cooldown, id)
 		}
 	}
 	return raised

@@ -262,6 +262,55 @@ func TestAutoAppliesAndCoolsDown(t *testing.T) {
 	}
 }
 
+// TestCooldownEndsWithLeaseOrDeadline: a handover's cooldown entry goes
+// when its lease goes, and when its deadline passes, so an auto controller
+// does not keep one timestamp for every lease it ever moved.
+func TestCooldownEndsWithLeaseOrDeadline(t *testing.T) {
+	const n = 3
+	ctx := context.Background()
+	f := newFixture(t, 10)
+	ids := []string{f.info.ID}
+	for len(ids) < n {
+		info, err := f.ledger.AcquireShaped(ctx, f.snap, lease.Demand{CPU: 0.1}, time.Hour,
+			&lease.Shape{M: 2, Algo: core.AlgoBalanced}, place(1, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, info.ID)
+	}
+	c := New(f.ledger, Policy{
+		ConfirmEpochs: 1, MinGain: 0.1, Auto: true, MaxPerEpoch: n,
+		Cooldown: time.Minute, Now: f.clock.Now,
+	}, nil)
+	f.loadCurrent()
+	c.Tick(ctx, f.snap, Epoch{Polls: 1, Ledger: f.ledger.Version()}, false)
+	if got := c.m.applied.Value(); got != n {
+		t.Fatalf("applied = %v, want %d", got, n)
+	}
+
+	// Release all but the last lease inside the cooldown: only the live
+	// lease keeps its entry.
+	for _, id := range ids[:n-1] {
+		if err := f.ledger.Release(ctx, id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Tick(ctx, f.snap, Epoch{Polls: 2, Ledger: f.ledger.Version()}, false)
+	if len(c.cooldown) != 1 {
+		t.Fatalf("%d cooldown entries after releasing %d of %d leases, want 1", len(c.cooldown), n-1, n)
+	}
+	if _, ok := c.cooldown[ids[n-1]]; !ok {
+		t.Fatalf("live lease %s lost its cooldown early", ids[n-1])
+	}
+
+	// Past the deadline the live lease's entry goes too.
+	f.clock.Advance(2 * time.Minute)
+	c.Tick(ctx, f.snap, Epoch{Polls: 3, Ledger: f.ledger.Version()}, false)
+	if len(c.cooldown) != 0 {
+		t.Fatalf("%d cooldown entries past the deadline, want 0", len(c.cooldown))
+	}
+}
+
 func TestApplyAdvisoryHandover(t *testing.T) {
 	f := newFixture(t, 6)
 	c := New(f.ledger, Policy{ConfirmEpochs: 1, MinGain: 0.1, Now: f.clock.Now}, nil)
