@@ -1,27 +1,56 @@
 package selectsvc
 
 import (
+	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
 	"nodeselect/internal/lease"
+	"nodeselect/internal/remos"
+	"nodeselect/internal/testbed"
 )
 
-// TestBatchedLeasedSelectsCoalesce drives concurrent leased selects
-// through a service running the admission pipeline: every decision must
-// carry a batch receipt, and with a window far longer than the submit
-// spread, the requests must actually share batches rather than each
-// paying its own commit.
+// TestBatchedLeasedSelectsCoalesce drives n concurrent leased selects
+// through a WAL-backed service running the admission pipeline with
+// BatchMax n and a window far longer than the test: the batch closes when
+// the n-th request arrives, and the counts show the n acquires paid for
+// one commit — one batch receipt on every decision, one ledger batch, and
+// one "op":"batch" line (one fsync) in the WAL.
 func TestBatchedLeasedSelectsCoalesce(t *testing.T) {
 	const n = 8
-	svc, _ := newStarService(t, 12, Config{BatchWindow: 250 * time.Millisecond, BatchMax: n})
+	dir := t.TempDir()
+	g := testbed.Star(12, 100e6)
+	wal, err := lease.OpenWAL(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ledger, err := lease.New(g, lease.Options{WAL: wal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ledger.Close() })
+	src := remos.NewStaticSource(g)
+	svc := New(src, Config{
+		DefaultMode: remos.Current,
+		Ledger:      ledger,
+		BatchWindow: 5 * time.Second,
+		BatchMax:    n,
+	})
 	t.Cleanup(svc.StopBatching)
+	for range 2 {
+		if err := svc.Poll(); err != nil {
+			t.Fatal(err)
+		}
+		src.Advance(2)
+	}
 	h := svc.Handler()
 
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
+	for range n {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -40,29 +69,29 @@ func TestBatchedLeasedSelectsCoalesce(t *testing.T) {
 	if err := json.Unmarshal(w.Body.Bytes(), &ds); err != nil {
 		t.Fatal(err)
 	}
-	leased, maxSize := 0, 0
-	byBatch := map[string]int{}
+	leased, receipts := 0, map[string]int{}
 	for _, d := range ds {
 		if d.LeaseID == "" {
 			continue
 		}
 		leased++
-		if d.BatchID == "" || d.BatchSize < 1 {
-			t.Fatalf("leased decision %d missing batch receipt: %+v", d.ID, d)
-		}
-		byBatch[d.BatchID]++
-		if d.BatchSize > maxSize {
-			maxSize = d.BatchSize
+		receipts[d.BatchID]++
+		if d.BatchSize != n {
+			t.Errorf("decision %d: batch %q of size %d, want one batch of %d", d.ID, d.BatchID, d.BatchSize, n)
 		}
 	}
-	if leased != n {
-		t.Fatalf("%d leased decisions audited, want %d", leased, n)
+	if leased != n || len(receipts) != 1 {
+		t.Errorf("%d leased decisions by batch receipt %v, want %d under one receipt", leased, receipts, n)
 	}
-	if maxSize < 2 {
-		t.Fatalf("no coalescing observed: every batch held one request (%v)", byBatch)
+	if got := ledger.Stats().Batches; got != 1 {
+		t.Errorf("ledger committed %d batches, want 1", got)
 	}
-	if len(byBatch) >= n {
-		t.Fatalf("%d batches for %d requests — pipeline never grouped", len(byBatch), n)
+	log, err := os.ReadFile(filepath.Join(dir, "ledger.wal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := bytes.Count(log, []byte(`"op":"batch"`)); got != 1 {
+		t.Errorf(`%d "op":"batch" lines in the WAL for %d acquires, want 1`, got, n)
 	}
 }
 

@@ -8,10 +8,13 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"nodeselect/internal/lease"
+	"nodeselect/internal/randx"
 	"nodeselect/internal/remos"
+	"nodeselect/internal/testbed"
 	"nodeselect/internal/topology"
 )
 
@@ -168,50 +171,112 @@ func TestPlanCacheFailureCached(t *testing.T) {
 }
 
 // TestPlanCacheSingleflight fires identical concurrent requests within one
-// epoch and checks exactly one computation happened (one miss, the rest
-// hits) and that everyone got the same nodes.
+// epoch and counts what they cost: exactly one plan computed (one miss, the
+// rest hits) from one snapshot, no 5xx, and the same nodes for everyone.
+// The "cmu" case is the sustained load of a service with every default on
+// (CMU testbed, tracing, plan cache): a broken plan cache or a per-request
+// snapshot shows up as a count here rather than as latency.
 func TestPlanCacheSingleflight(t *testing.T) {
-	svc, _ := idleCacheService(t, 8, Config{Seed: 1})
-	h := svc.Handler()
-	const workers = 16
-	body, err := json.Marshal(SelectRequest{M: 3, Algo: "balanced"})
-	if err != nil {
+	cases := []struct {
+		name              string
+		svc               func(t *testing.T) *Service
+		req               SelectRequest
+		workers, requests int
+	}{
+		{"star", func(t *testing.T) *Service {
+			svc, _ := idleCacheService(t, 8, Config{Seed: 1})
+			return svc
+		}, SelectRequest{M: 3, Algo: "balanced"}, 16, 16},
+		{"cmu", cmuLoadedService, SelectRequest{M: 4}, 4, 5000},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			svc := tc.svc(t)
+			h := svc.Handler()
+			queries := snapshotsBuilt(t, h, "current")
+			body, err := json.Marshal(tc.req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var next, failed, notOK atomic.Int64
+			results := make([][]string, tc.workers)
+			var wg sync.WaitGroup
+			for w := range tc.workers {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for next.Add(1) <= int64(tc.requests) {
+						rec := httptest.NewRecorder()
+						h.ServeHTTP(rec, httptest.NewRequest("POST", "/select", bytes.NewReader(body)))
+						if rec.Code >= 500 {
+							failed.Add(1)
+							continue
+						}
+						if rec.Code != http.StatusOK {
+							notOK.Add(1)
+							continue
+						}
+						var resp SelectResponse
+						if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+							t.Errorf("worker %d: %v", w, err)
+							return
+						}
+						if results[w] == nil {
+							results[w] = resp.Nodes
+						} else if !reflect.DeepEqual(results[w], resp.Nodes) {
+							t.Errorf("worker %d got %v, then %v", w, results[w], resp.Nodes)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			if n := failed.Load(); n != 0 {
+				t.Errorf("%d of %d responses >= 500, want 0", n, tc.requests)
+			}
+			if n := notOK.Load(); n != 0 {
+				t.Errorf("%d of %d responses neither 200 nor >= 500", n, tc.requests)
+			}
+			// A worker the others outran answered nothing and has no nodes.
+			var first []string
+			for w, nodes := range results {
+				if first == nil {
+					first = nodes
+				} else if nodes != nil && !reflect.DeepEqual(first, nodes) {
+					t.Errorf("worker %d got %v, an earlier worker %v", w, nodes, first)
+				}
+			}
+			hits, misses, _, _ := svc.plans.counters()
+			if misses != 1 || hits != tc.requests-1 {
+				t.Errorf("plan cache: %d misses, %d hits; want 1, %d", misses, hits, tc.requests-1)
+			}
+			if got := snapshotsBuilt(t, h, "current") - queries; got != 1 {
+				t.Errorf("remos_queries_total{mode=\"current\"} rose by %v over %d selects of one poll, want 1", got, tc.requests)
+			}
+		})
+	}
+}
+
+// cmuLoadedService serves the CMU testbed with seeded background load,
+// History 8, Current mode and every other default (plan cache, tracing),
+// after one poll.
+func cmuLoadedService(t *testing.T) *Service {
+	t.Helper()
+	g := testbed.CMU()
+	src := remos.NewStaticSource(g)
+	rng := randx.New(1)
+	for _, id := range g.ComputeNodes() {
+		src.SetLoad(id, 2*rng.Float64())
+	}
+	svc := New(src, Config{
+		Collector:   remos.CollectorConfig{History: 8},
+		DefaultMode: remos.Current,
+		Seed:        1,
+	})
+	if err := svc.Poll(); err != nil {
 		t.Fatal(err)
 	}
-	results := make([][]string, workers)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			r := httptest.NewRequest("POST", "/select", bytes.NewReader(body))
-			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, r)
-			if rec.Code != http.StatusOK {
-				t.Errorf("worker %d: status %d: %s", i, rec.Code, rec.Body.String())
-				return
-			}
-			var resp SelectResponse
-			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-				t.Errorf("worker %d: %v", i, err)
-				return
-			}
-			results[i] = resp.Nodes
-		}(i)
-	}
-	wg.Wait()
-	if t.Failed() {
-		t.FailNow()
-	}
-	for i := 1; i < workers; i++ {
-		if !reflect.DeepEqual(results[0], results[i]) {
-			t.Fatalf("worker %d got %v, worker 0 got %v", i, results[i], results[0])
-		}
-	}
-	hits, misses, _, _ := svc.plans.counters()
-	if misses != 1 || hits != workers-1 {
-		t.Fatalf("singleflight: %d misses, %d hits; want 1, %d", misses, hits, workers-1)
-	}
+	return svc
 }
 
 // TestPlanCacheLeaseRace is the cache-correctness race test: concurrent
