@@ -3,11 +3,9 @@ package experiment
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sort"
-	"strings"
 	"time"
 
 	"nodeselect/internal/randx"
@@ -116,9 +114,8 @@ type ChaosRound struct {
 
 // ChaosResult is the outcome of the fault schedule.
 type ChaosResult struct {
-	// Agents is the fleet size; FaultsPerRound how many were faulted.
-	Agents         int
-	FaultsPerRound int
+	// Agents is the fleet size.
+	Agents int
 	// DeadlineBoundSeconds is the configured per-poll ceiling and
 	// MaxPollSeconds the slowest poll observed anywhere in the run; the
 	// scenario passes only if the bound held.
@@ -242,7 +239,6 @@ func RunChaos(opt ChaosOptions) (ChaosResult, error) {
 	if k < 1 {
 		k = 1
 	}
-	res.FaultsPerRound = k
 	for round := 1; round <= opt.Rounds; round++ {
 		perm := rng.Perm(res.Agents)
 		var hung, crashed []int
@@ -273,29 +269,4 @@ func RunChaos(opt ChaosOptions) (ChaosResult, error) {
 		time.Sleep(50 * time.Millisecond)
 	}
 	return res, nil
-}
-
-// FormatChaos renders the fault schedule outcome.
-func FormatChaos(r ChaosResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Chaos schedule: %d agents, %d faulted per round, poll deadline bound %.2fs\n",
-		r.Agents, r.FaultsPerRound, r.DeadlineBoundSeconds)
-	for _, rd := range r.Rounds {
-		label := "baseline"
-		if rd.Round > 0 {
-			label = fmt.Sprintf("hung [%s] crashed [%s]",
-				strings.Join(rd.Hung, " "), strings.Join(rd.Crashed, " "))
-		}
-		fmt.Fprintf(&b, "  round %d: %-11s fresh %.2f  max poll %.3fs  select ok=%v degraded=%v  %s\n",
-			rd.Round, rd.State, rd.FreshFraction, rd.MaxPollSeconds,
-			rd.SelectOK, rd.SelectDegraded, label)
-		if len(rd.StaleNodes) > 0 {
-			fmt.Fprintf(&b, "           stale inputs: %s\n", strings.Join(rd.StaleNodes, ", "))
-		}
-	}
-	fmt.Fprintf(&b, "  slowest poll anywhere:  %.3fs (bound %v)\n",
-		r.MaxPollSeconds, r.MaxPollSeconds <= r.DeadlineBoundSeconds)
-	fmt.Fprintf(&b, "  recovered after repair: %v (%q after %d polls)\n",
-		r.Recovered, r.RecoveredState, r.RecoveryPolls)
-	return b.String()
 }

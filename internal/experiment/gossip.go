@@ -60,39 +60,39 @@ func (o GossipOptions) withDefaults() GossipOptions {
 
 // GossipSizeResult is one fleet size's measurements.
 type GossipSizeResult struct {
-	Agents int `json:"agents"`
+	Agents int
 
 	// Propagation-time distribution in gossip rounds: the round at which
 	// a live node first held a freshly published observation, across all
 	// waves and receivers.
-	Samples int     `json:"samples"`
-	P50     float64 `json:"p50_rounds"`
-	P90     float64 `json:"p90_rounds"`
-	P99     float64 `json:"p99_rounds"`
-	Max     float64 `json:"max_rounds"`
+	Samples int
+	P50     float64
+	P90     float64
+	P99     float64
+	Max     float64
 
 	// Partition/heal: rounds from heal to full digest convergence.
-	HealRounds int  `json:"heal_rounds"`
-	Converged  bool `json:"converged"`
+	HealRounds int
+	Converged  bool
 
 	// Staleness: the worst live-entry age observed on always-live nodes
 	// during the steady-state publishing phase, against the bound.
-	MaxEntryAgeSeconds float64 `json:"max_entry_age_seconds"`
-	StalenessBound     float64 `json:"staleness_bound_seconds"`
-	StalenessOK        bool    `json:"staleness_ok"`
+	MaxEntryAgeSeconds float64
+	StalenessBound     float64
+	StalenessOK        bool
 
-	PropagationOK bool `json:"propagation_ok"`
+	PropagationOK bool
 }
 
 // GossipReport is the full convergence report.
 type GossipReport struct {
-	Seed      int64              `json:"seed"`
-	P99Budget float64            `json:"p99_budget_rounds"`
-	Sizes     []GossipSizeResult `json:"sizes"`
+	Seed      int64
+	P99Budget float64
+	Sizes     []GossipSizeResult
 	// Pass is the acceptance verdict: every size propagated within the
 	// p99 budget, converged after a healed partition, and kept live
 	// entries inside the staleness bound.
-	Pass bool `json:"pass"`
+	Pass bool
 }
 
 // gossipFleet is one in-process mesh under test.

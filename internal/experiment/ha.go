@@ -20,8 +20,8 @@ import (
 	"nodeselect/internal/testbed"
 )
 
-// The HA harness (`expt -run ha`) stands up a real 3-replica selectd
-// cluster in one process — three full services over the CMU testbed
+// The HA harness (TestHASchedules, `make ha`) stands up a real 3-replica
+// selectd cluster in one process — three full services over the CMU testbed
 // topology, each with its own replicated ledger and consensus node, wired
 // through an in-memory transport with injectable faults — and drives the
 // failure scenarios the replicated ledger exists to survive:
@@ -72,32 +72,31 @@ func (o HAOptions) withDefaults() HAOptions {
 
 // HACheck is one asserted invariant inside a scenario.
 type HACheck struct {
-	Name   string `json:"name"`
-	Detail string `json:"detail,omitempty"`
-	Pass   bool   `json:"pass"`
+	Name   string
+	Detail string
+	Pass   bool
 }
 
 // HAScenario is one fault schedule's outcome.
 type HAScenario struct {
-	Name string `json:"name"`
+	Name string
 	// Acked counts leases whose admission was acknowledged to the client;
 	// Lost counts acked leases missing after recovery (must be 0);
 	// DoubleAdmissions counts leases present with conflicting state across
 	// replicas (must be 0).
-	Acked            int       `json:"acked"`
-	Lost             int       `json:"lost"`
-	DoubleAdmissions int       `json:"double_admissions"`
-	FailoverMS       float64   `json:"failover_ms,omitempty"`
-	Checks           []HACheck `json:"checks"`
-	Pass             bool      `json:"pass"`
+	Acked            int
+	Lost             int
+	DoubleAdmissions int
+	FailoverMS       float64
+	Checks           []HACheck
+	Pass             bool
 }
 
-// HAReport is the harness's machine-readable output (ha.json in CI).
+// HAReport is the harness's outcome: every scenario and the verdict.
 type HAReport struct {
-	ElectionTimeoutMS float64      `json:"election_timeout_ms"`
-	FailoverBudgetMS  float64      `json:"failover_budget_ms"`
-	Scenarios         []HAScenario `json:"scenarios"`
-	Pass              bool         `json:"pass"`
+	FailoverBudgetMS float64
+	Scenarios        []HAScenario
+	Pass             bool
 }
 
 // haMember is one replica "process": its own measurement source, service,
@@ -423,9 +422,8 @@ func RunHA(opt HAOptions) (HAReport, error) {
 	}
 	budget := 5 * opt.ElectionTimeout
 	report := HAReport{
-		ElectionTimeoutMS: float64(opt.ElectionTimeout) / float64(time.Millisecond),
-		FailoverBudgetMS:  float64(budget) / float64(time.Millisecond),
-		Pass:              true,
+		FailoverBudgetMS: float64(budget) / float64(time.Millisecond),
+		Pass:             true,
 	}
 	scenarios := []func(HAOptions, time.Duration) (HAScenario, error){
 		runHAKillLeader,
@@ -742,26 +740,4 @@ func runHATornAppend(opt HAOptions, budget time.Duration) (HAScenario, error) {
 		"restarted replica replayed the committed log into %d/%d leases", len(infos), len(acked))
 	st.verifySurvival(c, acked, nil)
 	return st.done(), nil
-}
-
-// FormatHA renders the report for humans.
-func FormatHA(r HAReport) string {
-	var b strings.Builder
-	status := map[bool]string{true: "PASS", false: "FAIL"}
-	fmt.Fprintf(&b, "HA fault-injection harness (election timeout %.0fms, failover budget %.0fms)\n\n",
-		r.ElectionTimeoutMS, r.FailoverBudgetMS)
-	for _, sc := range r.Scenarios {
-		fmt.Fprintf(&b, "%-4s %s: %d acked, %d lost, %d double admissions",
-			status[sc.Pass], sc.Name, sc.Acked, sc.Lost, sc.DoubleAdmissions)
-		if sc.FailoverMS > 0 {
-			fmt.Fprintf(&b, ", failover %.0fms", sc.FailoverMS)
-		}
-		b.WriteString("\n")
-		for _, ch := range sc.Checks {
-			fmt.Fprintf(&b, "  %-4s %-32s %s\n", status[ch.Pass], ch.Name, ch.Detail)
-		}
-		b.WriteString("\n")
-	}
-	fmt.Fprintf(&b, "overall: %s\n", status[r.Pass])
-	return b.String()
 }
