@@ -4,7 +4,7 @@
 GO ?= go
 FUZZTIME ?= 2s
 
-.PHONY: check vet build test race bench benchmod fmt fuzz chaos ha gossip admit hier perf
+.PHONY: check vet build test race bench benchmod fmt fuzz chaos ha admit hier perf
 
 check: vet build race fuzz benchmod
 
@@ -29,7 +29,6 @@ fuzz:
 	$(GO) test ./internal/topology -run='^$$' -fuzz='^FuzzParseGraph$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/topology -run='^$$' -fuzz='^FuzzReadDocument$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core -run='^$$' -fuzz='^FuzzSweepEquivalence$$' -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/gossip -run='^$$' -fuzz='^FuzzGossipFrame$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/lease -run='^$$' -fuzz='^FuzzBatchWALRecord$$' -fuzztime=$(FUZZTIME)
 
 # Fault-schedule scenario against a real loopback agent fleet, race
@@ -44,14 +43,6 @@ chaos:
 # lost, any lease is double-admitted, or failover misses its budget.
 ha:
 	$(GO) test -race ./internal/experiment -run='^TestHASchedules$$' -v
-
-# Gossip-plane convergence harness, race detector on: in-process meshes
-# at several fleet sizes, measuring propagation CDFs under churn, heal
-# after partition, and the staleness bound live entries stay inside.
-# Fails when p99 propagation or any bound is missed.
-gossip:
-	$(GO) test -race ./internal/experiment -run='^TestGossipConvergence$$' -v
-	$(GO) run -race ./cmd/expt -run gossip
 
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x .

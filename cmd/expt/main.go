@@ -10,9 +10,6 @@
 //	expt -run ablation
 //	expt -run migration
 //	expt -run all
-//
-// -run gossip, the gossip plane's convergence harness, is not part of
-// -run all and exits non-zero when a bound is missed.
 package main
 
 import (
@@ -25,7 +22,7 @@ import (
 
 func main() {
 	var (
-		run     = flag.String("run", "table1", "experiment to run: table1, headline, fig4, sweep, ablation, modes, hetero, pattern, failover, autosize, migration, rebalance, contention, gossip, all")
+		run     = flag.String("run", "table1", "experiment to run: table1, headline, fig4, sweep, ablation, modes, hetero, pattern, failover, autosize, migration, rebalance, contention, all")
 		reps    = flag.Int("reps", 0, "replications per cell (default from experiment.Default)")
 		seed    = flag.Int64("seed", 1, "master random seed")
 		loadR   = flag.Float64("load-rate", 0, "override per-node job arrival rate")
@@ -75,8 +72,6 @@ func dispatch(run string, cfg experiment.Config) error {
 		}
 	}
 	switch run {
-	case "gossip":
-		return runGossip(cfg)
 	case "all":
 		for _, exp := range experiment.Paper {
 			fmt.Printf("==== %s ====\n", exp.Name)
@@ -89,21 +84,4 @@ func dispatch(run string, cfg experiment.Config) error {
 	default:
 		return fmt.Errorf("unknown experiment %q", run)
 	}
-}
-
-// runGossip drives the gossip-plane convergence experiment: in-process
-// meshes at several fleet sizes, measuring propagation-time CDFs under
-// churn, reconvergence after a healed partition, and the staleness bound
-// live entries stay inside. Exits non-zero when any bound is missed, so
-// the CI gossip job gates on it directly.
-func runGossip(cfg experiment.Config) error {
-	rep, err := experiment.RunGossip(experiment.GossipOptions{Seed: cfg.Seed})
-	if err != nil {
-		return err
-	}
-	fmt.Print(experiment.FormatGossip(rep))
-	if !rep.Pass {
-		return fmt.Errorf("gossip convergence failed: a bound was missed (see report above)")
-	}
-	return nil
 }

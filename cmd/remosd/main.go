@@ -25,16 +25,6 @@
 // proxy on its public port, reproducibly seeded by -chaos-seed:
 //
 //	remosd -listen 127.0.0.1:7700 -chaos-drop 0.1 -chaos-hang 0.05
-//
-// With -gossip the fleet also runs a decentralized measurement plane:
-// node i serves the gossip protocol on -gossip-listen port+i, publishes
-// its own reading (load plus the counters of the links it owns) every
-// tick, and rumors/anti-entropy spread the full fleet state to every
-// peer. A collector can then join as a consumer instead of polling:
-//
-//	remosd -listen 127.0.0.1:7700 -gossip
-//	selectd -agents 127.0.0.1:7700 -nodes 21 \
-//	  -measure-source gossip -gossip-agents 127.0.0.1:7900
 package main
 
 import (
@@ -52,7 +42,6 @@ import (
 	"syscall"
 	"time"
 
-	"nodeselect/internal/gossip"
 	"nodeselect/internal/metrics"
 	"nodeselect/internal/remos"
 	"nodeselect/internal/remos/agent"
@@ -66,10 +55,6 @@ func main() {
 		httpAddr = flag.String("http", "", "observability HTTP address (/metrics, /debug/vars); empty disables")
 		debug    = flag.Bool("debug", false, "with -http, also serve net/http/pprof under /debug/pprof/")
 
-		gossipOn     = flag.Bool("gossip", false, "also gossip measurements peer to peer; node i serves on -gossip-listen port+i")
-		gossipListen = flag.String("gossip-listen", "127.0.0.1:7900", "base gossip address; node i listens on port+i")
-		gossipSeed   = flag.Int64("gossip-seed", 1, "peer-selection seed for the gossip plane")
-
 		chaos        chaosFlags
 		chaosSeed    = flag.Int64("chaos-seed", 1, "fault stream seed (reproducible chaos)")
 		chaosDelayMS = flag.Int("chaos-delay-ms", 50, "delay injected by -chaos-delay, in milliseconds")
@@ -81,18 +66,10 @@ func main() {
 	flag.Parse()
 	chaos.seed = *chaosSeed
 	chaos.delayDur = time.Duration(*chaosDelayMS) * time.Millisecond
-	gf := gossipFlags{on: *gossipOn, listen: *gossipListen, seed: *gossipSeed}
-	if err := run(*listen, *tick, *httpAddr, *debug, chaos, gf); err != nil {
+	if err := run(*listen, *tick, *httpAddr, *debug, chaos); err != nil {
 		fmt.Fprintln(os.Stderr, "remosd:", err)
 		os.Exit(1)
 	}
-}
-
-// gossipFlags gathers the gossip-plane command line.
-type gossipFlags struct {
-	on     bool
-	listen string
-	seed   int64
 }
 
 // chaosFlags gathers the fault-injection command line.
@@ -133,99 +110,7 @@ func newFleetMetrics(reg *metrics.Registry, src *remos.StaticSource) *fleetMetri
 	}
 }
 
-// gossipPlane is the fleet's peer-to-peer measurement side: one gossip
-// node per topology node, each serving on its own TCP port and
-// publishing its own slice of the source (load plus owned links) every
-// synthetic-clock tick.
-type gossipPlane struct {
-	nodes     []*gossip.Node
-	servers   []*gossip.Server
-	transport *gossip.TCPTransport
-	owned     map[int][]int // node -> links it publishes (lower endpoint owns)
-	src       *remos.StaticSource
-	g         *topology.Graph
-}
-
-// startGossipPlane brings up the per-node gossip listeners. Every node
-// peers with the whole fleet; the shared dialer keeps one connection per
-// peer address.
-func startGossipPlane(g *topology.Graph, src *remos.StaticSource, gf gossipFlags, reg *metrics.Registry) (*gossipPlane, error) {
-	host, portStr, err := net.SplitHostPort(gf.listen)
-	if err != nil {
-		return nil, fmt.Errorf("-gossip-listen: %w", err)
-	}
-	base, err := strconv.Atoi(portStr)
-	if err != nil {
-		return nil, fmt.Errorf("-gossip-listen: bad port %q: %w", portStr, err)
-	}
-	addrs := make([]string, g.NumNodes())
-	for i := range addrs {
-		addrs[i] = net.JoinHostPort(host, strconv.Itoa(base+i))
-	}
-
-	p := &gossipPlane{
-		transport: &gossip.TCPTransport{ConnectTimeout: 2 * time.Second, IOTimeout: 2 * time.Second},
-		owned:     make(map[int][]int),
-		src:       src,
-		g:         g,
-	}
-	for l := 0; l < g.NumLinks(); l++ {
-		o := g.Link(l).A
-		if g.Link(l).B < o {
-			o = g.Link(l).B
-		}
-		p.owned[o] = append(p.owned[o], l)
-	}
-	gm := gossip.NewMetrics(reg)
-	for i := 0; i < g.NumNodes(); i++ {
-		peers := make([]string, 0, len(addrs)-1)
-		for j, a := range addrs {
-			if j != i {
-				peers = append(peers, a)
-			}
-		}
-		n := gossip.New(gossip.Config{
-			Name: addrs[i], Origin: i, Peers: peers,
-			Transport: p.transport, Seed: gf.seed + int64(i), Metrics: gm,
-		})
-		s, err := gossip.Serve(n, addrs[i])
-		if err != nil {
-			p.close()
-			return nil, fmt.Errorf("gossip node %s: %w", g.Node(i).Name, err)
-		}
-		p.nodes = append(p.nodes, n)
-		p.servers = append(p.servers, s)
-	}
-	return p, nil
-}
-
-// tick publishes every node's current reading into the mesh and runs one
-// gossip round on each node.
-func (p *gossipPlane) tick() {
-	for i, n := range p.nodes {
-		links := make(map[int]gossip.LinkReading, len(p.owned[i]))
-		for _, l := range p.owned[i] {
-			links[l] = gossip.LinkReading{
-				Bits:   p.src.LinkBits(l, false),
-				BitsBG: p.src.LinkBits(l, true),
-				Down:   !p.src.LinkUp(l),
-			}
-		}
-		n.Publish(p.src.Now(), p.src.NodeLoad(i, false), p.src.NodeLoad(i, true), links)
-	}
-	for _, n := range p.nodes {
-		n.Tick()
-	}
-}
-
-func (p *gossipPlane) close() {
-	for _, s := range p.servers {
-		s.Close()
-	}
-	p.transport.Close()
-}
-
-func run(listen string, tick time.Duration, httpAddr string, debug bool, chaos chaosFlags, gf gossipFlags) error {
+func run(listen string, tick time.Duration, httpAddr string, debug bool, chaos chaosFlags) error {
 	g, snap, err := topology.ReadDocument(os.Stdin)
 	if err != nil {
 		return err
@@ -290,19 +175,6 @@ func run(listen string, tick time.Duration, httpAddr string, debug bool, chaos c
 	}
 	reg.NewGauge("remosd_agents", "Agents serving in this fleet.").Set(float64(len(agents)))
 
-	// Gossip plane. Declared after the agent defer above so its servers
-	// and dialer shut down first: dissemination stops before the agents
-	// (the poll plane) go away, never the other way around.
-	var plane *gossipPlane
-	if gf.on {
-		plane, err = startGossipPlane(g, src, gf, reg)
-		if err != nil {
-			return err
-		}
-		defer plane.close()
-		fmt.Printf("remosd: gossip plane on %s.. (+%d ports, seed %d)\n",
-			gf.listen, g.NumNodes()-1, gf.seed)
-	}
 	if chaos.enabled() {
 		reg.NewGauge("remosd_chaos_enabled", "Fault injection active on every agent path.").Set(1)
 		fmt.Printf("remosd: chaos active (hang %.2f drop %.2f corrupt %.2f delay %.2f/%s, seed %d)\n",
@@ -344,9 +216,6 @@ func run(listen string, tick time.Duration, httpAddr string, debug bool, chaos c
 		case <-ticker.C:
 			src.Advance(tick.Seconds())
 			fm.ticks.Inc()
-			if plane != nil {
-				plane.tick()
-			}
 		case <-stop:
 			// Graceful: drain in-flight observability requests before the
 			// deferred agent/proxy teardown closes the fleet.

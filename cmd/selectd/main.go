@@ -11,12 +11,6 @@
 //	# against a synthetic snapshot (no agents needed):
 //	topogen -topo cmu -snapshot | selectd -listen 127.0.0.1:8800 -stdin
 //
-//	# gossip mode: discover the topology from the agents, then ingest
-//	# measurements by joining the fleet's gossip mesh as a consumer
-//	# (remosd must be running with -gossip):
-//	selectd -agents 127.0.0.1:7700 -nodes 21 \
-//	  -measure-source gossip -gossip-agents 127.0.0.1:7900
-//
 //	curl localhost:8800/healthz
 //	curl localhost:8800/snapshot?mode=window
 //	curl -d '{"m":4,"algo":"balanced"}' localhost:8800/select
@@ -87,13 +81,10 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
-	"nodeselect/internal/gossip"
 	"nodeselect/internal/lease"
-	"nodeselect/internal/metrics"
 	"nodeselect/internal/rebalance"
 	"nodeselect/internal/remos"
 	"nodeselect/internal/remos/agent"
@@ -109,10 +100,6 @@ type options struct {
 	nodeCnt        int
 	stdin, debug   bool
 	period         time.Duration
-
-	measureSource  string
-	gossipAgents   string
-	gossipInterval time.Duration
 
 	connectTimeout, ioTimeout time.Duration
 	allowPartial              bool
@@ -159,9 +146,6 @@ func main() {
 	flag.IntVar(&o.nodeCnt, "nodes", 0, "agent count for topology discovery")
 	flag.BoolVar(&o.stdin, "stdin", false, "read a topology document from stdin and serve a synthetic source")
 	flag.DurationVar(&o.period, "period", 2*time.Second, "measurement polling period")
-	flag.StringVar(&o.measureSource, "measure-source", "poll", "measurement ingestion: poll (agent RPC per period) or gossip (join the fleet's mesh as a consumer)")
-	flag.StringVar(&o.gossipAgents, "gossip-agents", "", "base gossip address of the fleet, node i at port+i (required with -measure-source=gossip)")
-	flag.DurationVar(&o.gossipInterval, "gossip-interval", time.Second, "gossip round interval in gossip mode (each round reconciles with one random peer)")
 	flag.BoolVar(&o.debug, "debug", false, "serve net/http/pprof under /debug/pprof/")
 	flag.DurationVar(&o.connectTimeout, "connect-timeout", 2*time.Second, "agent TCP connect deadline")
 	flag.DurationVar(&o.ioTimeout, "io-timeout", 2*time.Second, "agent request/response deadline")
@@ -278,58 +262,6 @@ func run(o options) error {
 		return fmt.Errorf("either -stdin or -agents is required")
 	}
 
-	// The service's registry is created here rather than inside
-	// selectsvc.New so the gossip consumer below can register its
-	// instruments on the same /metrics surface.
-	reg := metrics.NewRegistry()
-
-	// Measurement ingestion. In gossip mode the topology still comes from
-	// the discovery above, but readings arrive by joining the fleet's
-	// gossip mesh as a consumer (origin -1): each round reconciles with
-	// one random peer by digest/delta, so the store converges to the
-	// fleet's full state without per-period polling of every agent.
-	stopGossip := func() {}
-	switch o.measureSource {
-	case "poll":
-	case "gossip":
-		if o.gossipAgents == "" {
-			return fmt.Errorf("-measure-source=gossip needs -gossip-agents")
-		}
-		g := src.Topology()
-		ghost, gportStr, err := net.SplitHostPort(o.gossipAgents)
-		if err != nil {
-			return fmt.Errorf("-gossip-agents: %w", err)
-		}
-		gbase, err := strconv.Atoi(gportStr)
-		if err != nil {
-			return fmt.Errorf("-gossip-agents: bad port %q: %w", gportStr, err)
-		}
-		peers := make([]string, g.NumNodes())
-		for i := range peers {
-			peers[i] = net.JoinHostPort(ghost, strconv.Itoa(gbase+i))
-		}
-		tr := &gossip.TCPTransport{ConnectTimeout: o.connectTimeout, IOTimeout: o.ioTimeout}
-		consumer := gossip.New(gossip.Config{
-			Name: "selectd", Origin: -1, Peers: peers, Transport: tr,
-			// A consumer publishes nothing, so rumor rounds are idle for
-			// it; reconcile every round to track the mesh closely.
-			AntiEntropyEvery: 1,
-			Seed:             time.Now().UnixNano(),
-			Metrics:          gossip.NewMetrics(reg),
-		})
-		// One synchronous round before serving: a single reconciliation
-		// usually pulls a converged peer's whole digest, so the first
-		// collector poll sees the fleet rather than an empty store.
-		consumer.Tick()
-		stopTick := startGossipTicker(consumer, o.gossipInterval)
-		stopGossip = func() { stopTick(); tr.Close() }
-		src = gossip.NewSnapshotSource(g, consumer.Store())
-		fmt.Printf("selectd: gossip consumer of %d peers at %s (round every %s)\n",
-			g.NumNodes(), o.gossipAgents, o.gossipInterval)
-	default:
-		return fmt.Errorf("unknown -measure-source %q (want poll or gossip)", o.measureSource)
-	}
-
 	if o.excludeStale && o.maxStale <= 0 {
 		return fmt.Errorf("-exclude-stale needs -max-stale")
 	}
@@ -407,7 +339,6 @@ func run(o options) error {
 	}
 
 	cfg := selectsvc.Config{
-		Registry: reg,
 		Collector: remos.CollectorConfig{
 			Period:      period.Seconds(),
 			MaxStaleAge: o.maxStale.Seconds(),
@@ -487,7 +418,6 @@ func run(o options) error {
 	select {
 	case err := <-errc:
 		stopPolling()
-		stopGossip()
 		svc.StopRebalance()
 		svc.StopBatching()
 		stopSweeper()
@@ -511,11 +441,9 @@ func run(o options) error {
 		server.Close()
 	}
 	// Measurement ingestion stops first: after stopPolling returns, no
-	// poll (and no poll-driven ledger sweep) is in flight, and after
-	// stopGossip no gossip round is mutating the store — mirroring the
+	// poll (and no poll-driven ledger sweep) is in flight — mirroring the
 	// StopRebalance-before-flush ordering below.
 	stopPolling()
-	stopGossip()
 	svc.StopRebalance()
 	// Batched admissions drain before the ledger flushes: Close blocks
 	// until every queued acquire has committed (or failed) through the WAL.
@@ -531,35 +459,6 @@ func run(o options) error {
 		return fmt.Errorf("lease ledger close: %w", err)
 	}
 	return shutErr
-}
-
-// startGossipTicker runs one gossip round on the consumer node every
-// interval. The returned stop blocks until any in-flight round has
-// finished, so shutdown can order ingestion-stop before transport close
-// and ledger flush — the same contract as Service.StartPolling.
-func startGossipTicker(n *gossip.Node, interval time.Duration) (stop func()) {
-	done := make(chan struct{})
-	finished := make(chan struct{})
-	go func() {
-		defer close(finished)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				n.Tick()
-			case <-done:
-				return
-			}
-		}
-	}()
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			close(done)
-			<-finished
-		})
-	}
 }
 
 // parsePeerList parses "id=url,id=url" into a map; empty input is an

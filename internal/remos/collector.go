@@ -8,7 +8,6 @@ import (
 	"slices"
 	"time"
 
-	"nodeselect/internal/measure"
 	"nodeselect/internal/reqtrace"
 	"nodeselect/internal/sim"
 	"nodeselect/internal/topology"
@@ -73,13 +72,6 @@ type CollectorConfig struct {
 	// queries fail with a StaleError instead of answering from data that
 	// old. Zero disables the ceiling: degraded data is served forever.
 	MaxStaleAge float64
-	// Clock is the wall-clock seam (nil = system clock). The collector
-	// reads it only for instrumentation timing; freshness aging stays
-	// poll-count based (see entityAge) with any AgeReporter source age
-	// folded in — but sharing one measure.Clock with a gossip mesh keeps
-	// collector timing and gossip-entry ages on the same timebase in
-	// deterministic tests.
-	Clock measure.Clock
 }
 
 func (c CollectorConfig) period() float64 {
@@ -130,7 +122,6 @@ type Collector struct {
 	src     Source
 	cfg     CollectorConfig
 	graph   *topology.Graph
-	clock   measure.Clock
 	samples []sample // ring, oldest first
 	polls   int
 	metrics *CollectorMetrics // optional, see SetMetrics
@@ -143,13 +134,6 @@ type Collector struct {
 	linkRate   []float64
 	linkRateBG []float64
 	degraded   bool // latest poll served any entity from stale cache
-
-	// Source-reported age (AgeReporter) captured at the latest poll; zero
-	// for sources without the interface. An entity's total age is the max
-	// of this and the poll-count aging — both measure the same staleness
-	// from different clocks, so the larger bound wins.
-	nodeSrcAge []float64
-	linkSrcAge []float64
 
 	// view is the latest poll's measurements. A poll publishes a new View
 	// and never writes to the one it replaces.
@@ -180,13 +164,10 @@ func NewCollector(src Source, cfg CollectorConfig) *Collector {
 		src:        src,
 		cfg:        cfg,
 		graph:      g,
-		clock:      measure.Or(cfg.Clock),
 		nodeSince:  make([]int, g.NumNodes()),
 		linkSince:  make([]int, g.NumLinks()),
 		linkRate:   make([]float64, g.NumLinks()),
 		linkRateBG: make([]float64, g.NumLinks()),
-		nodeSrcAge: make([]float64, g.NumNodes()),
-		linkSrcAge: make([]float64, g.NumLinks()),
 		view: &View{
 			graph:  g,
 			cfg:    cfg,
@@ -214,7 +195,7 @@ func (c *Collector) PollCtx(ctx context.Context) {
 	defer span.End()
 	var t0 time.Time
 	if c.metrics != nil {
-		t0 = c.clock.Now()
+		t0 = time.Now()
 	}
 	nNodes := c.graph.NumNodes()
 	nLinks := c.graph.NumLinks()
@@ -257,7 +238,7 @@ func (c *Collector) PollCtx(ctx context.Context) {
 	}
 	if m := c.metrics; m != nil {
 		m.Polls.Inc()
-		m.PollSeconds.Observe(c.clock.Now().Sub(t0).Seconds())
+		m.PollSeconds.Observe(time.Since(t0).Seconds())
 		m.WindowSamples.Set(float64(len(c.samples)))
 		m.WindowSpanSeconds.Set(s.time - c.samples[0].time)
 		m.LastSampleTime.Set(s.time)
@@ -280,7 +261,6 @@ func (c *Collector) PollCtx(ctx context.Context) {
 // counter (which every mode would misread as an idle link).
 func (c *Collector) applyFreshness(s *sample) {
 	fr, _ := c.src.(FreshnessReporter)
-	ar, _ := c.src.(AgeReporter)
 	c.degraded = false
 	var prev *sample
 	if len(c.samples) > 0 {
@@ -289,9 +269,6 @@ func (c *Collector) applyFreshness(s *sample) {
 	for i := 0; i < c.graph.NumNodes(); i++ {
 		if c.graph.Node(i).Kind != topology.Compute {
 			continue
-		}
-		if ar != nil {
-			c.nodeSrcAge[i] = clampAge(ar.NodeAgeSeconds(i))
 		}
 		if fr == nil || fr.NodeOK(i) {
 			c.nodeSince[i] = 0
@@ -302,9 +279,6 @@ func (c *Collector) applyFreshness(s *sample) {
 		}
 	}
 	for l := 0; l < c.graph.NumLinks(); l++ {
-		if ar != nil {
-			c.linkSrcAge[l] = clampAge(ar.LinkAgeSeconds(l))
-		}
 		if fr == nil || fr.LinkOK(l) {
 			// Update the last-live rate only across an interval whose both
 			// ends were live; a recovery interval spans synthesized
@@ -332,35 +306,11 @@ func (c *Collector) applyFreshness(s *sample) {
 	}
 }
 
-// clampAge sanitizes a source-reported age: a never-observed entity
-// (+Inf) or a nonsense negative age contributes no base — poll-count
-// aging alone grades it, exactly as for sources without an AgeReporter.
-func clampAge(age float64) float64 {
-	if math.IsInf(age, +1) || math.IsNaN(age) || age < 0 {
-		return 0
-	}
-	return age
-}
-
 // entityAge converts a polls-since-live count to seconds. Poll counts
 // rather than measurement clocks age the data even when every agent is
 // down and the measurement clock has stopped advancing.
 func (c *Collector) entityAge(since int) float64 {
 	return float64(since) * c.cfg.period()
-}
-
-// nodeAge is a node's total measurement age: the larger of the
-// source-reported age captured at the latest poll (how old the reading
-// already was when it arrived over the mesh; zero for direct sources)
-// and the poll-count aging. Both clocks measure the same staleness, so
-// the tighter bound is their max, not their sum.
-func (c *Collector) nodeAge(node int) float64 {
-	return math.Max(c.nodeSrcAge[node], c.entityAge(c.nodeSince[node]))
-}
-
-// linkAge is a link's total measurement age, like nodeAge.
-func (c *Collector) linkAge(link int) float64 {
-	return math.Max(c.linkSrcAge[link], c.entityAge(c.linkSince[link]))
 }
 
 // Health summarizes the freshness of the collector's view as of the latest
@@ -384,10 +334,10 @@ func (c *Collector) freshnessNow() Freshness {
 		LinkAge: make([]float64, c.graph.NumLinks()),
 	}
 	for i := range f.NodeAge {
-		f.NodeAge[i] = c.nodeAge(i)
+		f.NodeAge[i] = c.entityAge(c.nodeSince[i])
 	}
 	for l := range f.LinkAge {
-		f.LinkAge[l] = c.linkAge(l)
+		f.LinkAge[l] = c.entityAge(c.linkSince[l])
 	}
 	return f
 }
@@ -396,10 +346,9 @@ func (c *Collector) freshnessNow() Freshness {
 func (c *Collector) healthOf(f Freshness) Health {
 	var h Health
 	max := c.cfg.MaxStaleAge
-	// An entity read live at the latest poll counts fresh even when its
-	// source-reported base age is nonzero (a gossiped reading is always a
-	// little old); the base age still feeds MaxAgeSeconds and, past the
-	// MaxStaleAge ceiling, demotes the entity to stale.
+	// An entity read live at the latest poll counts fresh; one served from
+	// last-known-good data is degraded until its age passes the
+	// MaxStaleAge ceiling, which demotes it to stale.
 	classify := func(since int, age float64) int {
 		if age > h.MaxAgeSeconds {
 			h.MaxAgeSeconds = age

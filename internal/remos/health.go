@@ -16,21 +16,6 @@ type FreshnessReporter interface {
 	LinkOK(link int) bool
 }
 
-// AgeReporter is implemented by sources whose readings carry their own
-// age (the gossip snapshot source): a reading can be seconds old the
-// moment the collector polls it, because it traveled the mesh before
-// arriving. The collector captures the source-reported age at every poll
-// and grades each entity by the max of that and its own poll-count
-// aging, so Health, Freshness and the MaxStaleAge ceiling measure true
-// end-to-end staleness instead of restarting the clock at every poll.
-// Ages are in seconds; +Inf means the entity has never been observed.
-type AgeReporter interface {
-	// NodeAgeSeconds is the age of the reading behind the node's load.
-	NodeAgeSeconds(node int) float64
-	// LinkAgeSeconds is the age of the reading behind the link's counters.
-	LinkAgeSeconds(link int) float64
-}
-
 // ErrStale is matched (via errors.Is) by the StaleError a query returns
 // when every measurement has outlived the configured maximum age — the
 // collector no longer has last-known-good data worth answering with.

@@ -234,27 +234,17 @@ func TestNoFreshnessReporterIsAlwaysFresh(t *testing.T) {
 	}
 }
 
-// agedSource is a flakySource whose readings also carry an age of their
-// own, as the gossip snapshot source's do.
-type agedSource struct {
-	*flakySource
-	nodeAge, linkAge []float64
-}
-
-func (a *agedSource) NodeAgeSeconds(n int) float64 { return a.nodeAge[n] }
-func (a *agedSource) LinkAgeSeconds(l int) float64 { return a.linkAge[l] }
-
 // TestStoredHealthEqualsRecomputed pins the per-poll contract: Health and
 // Freshness are computed when a poll changes their inputs and stored, so
 // after every poll of a seeded schedule — nodes and links failing,
-// recovering, reporting ages of their own and ageing past MaxStaleAge — the
-// stored values equal a recomputation from the collector's bookkeeping,
-// field for field and entry for entry; reads between polls return the same
-// arrays; and a poll publishes new arrays instead of rewriting the ones an
-// in-flight reader still holds.
+// recovering and ageing past MaxStaleAge — the stored values equal a
+// recomputation from the collector's bookkeeping, field for field and
+// entry for entry; reads between polls return the same arrays; and a poll
+// publishes new arrays instead of rewriting the ones an in-flight reader
+// still holds.
 func TestStoredHealthEqualsRecomputed(t *testing.T) {
 	g := testbed.MultiCluster(3, 4, testbed.Ethernet100, 1e9)
-	src := &agedSource{newFlakySource(g), make([]float64, g.NumNodes()), make([]float64, g.NumLinks())}
+	src := newFlakySource(g)
 	c := NewCollector(src, CollectorConfig{Period: 1, History: 8, MaxStaleAge: 4})
 	if h := c.Health(); h.State != HealthStale || h != (Health{State: HealthStale}) {
 		t.Fatalf("unpolled health = %+v, want bare stale", h)
@@ -267,26 +257,18 @@ func TestStoredHealthEqualsRecomputed(t *testing.T) {
 	compute := g.ComputeNodes()
 	seen := map[string]bool{}
 	for poll := 0; poll < 60; poll++ {
-		// Fail and repair a few entities, and let a few report an age of
-		// their own (sometimes past the ceiling, sometimes nonsense).
+		// Fail and repair a few entities.
 		for k := 0; k < 3; k++ {
 			n, l := compute[rng.Intn(len(compute))], rng.Intn(g.NumLinks())
-			switch rng.Intn(4) {
-			case 0:
+			if rng.Intn(2) == 0 {
 				src.failNode(n)
 				src.failLink(l)
-			case 1:
+			} else {
 				src.nodeOK[n], src.linkOK[l] = true, true
-			case 2:
-				src.nodeAge[n], src.linkAge[l] = rng.Float64()*6, rng.Float64()*6
-			case 3:
-				src.nodeAge[n], src.linkAge[l] = math.Inf(1), 0
 			}
 		}
 		if poll == 40 {
 			src.repair()
-			clear(src.nodeAge)
-			clear(src.linkAge)
 		}
 		held := c.Freshness()
 		heldCopy := Freshness{slices.Clone(held.NodeAge), slices.Clone(held.LinkAge)}

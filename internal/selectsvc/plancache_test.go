@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -370,4 +371,83 @@ func TestPlanCacheLeaseRace(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestSourceChangeWaitsForPoll pins the epoch contract the plan cache keys
+// on: a source that changes between polls cannot reach a cached plan or
+// the served snapshot until the next poll ingests it. Collector queries are
+// a pure function of the polled sample ring, so a load flip that lands
+// after a plan is cached leaves the repeat request a hit answering from the
+// pre-flip snapshot, and only the next poll moves the epoch.
+func TestSourceChangeWaitsForPoll(t *testing.T) {
+	g := topology.NewGraph()
+	hub := g.AddNetworkNode("hub")
+	for i := 0; i < 4; i++ {
+		id := g.AddComputeNode(fmt.Sprintf("c%02d", i))
+		g.Connect(hub, id, 100e6, topology.LinkOpts{})
+	}
+	src := remos.NewStaticSource(g)
+	src.SetLoad(g.NodeByName("c02"), 2.0)
+	src.SetLoad(g.NodeByName("c03"), 2.0)
+	// Two polls, so rate-based link counters have a window to difference over.
+	svc := New(src, Config{Seed: 1, DefaultMode: remos.Current})
+	if err := svc.Poll(); err != nil {
+		t.Fatal(err)
+	}
+	src.Advance(1)
+	if err := svc.Poll(); err != nil {
+		t.Fatal(err)
+	}
+
+	h := svc.Handler()
+	req := SelectRequest{M: 2, Algo: "compute"}
+	first := selectNodes(t, h, req)
+	sort.Strings(first)
+	if want := []string{"c00", "c01"}; !reflect.DeepEqual(first, want) {
+		t.Fatalf("initial select = %v, want the idle pair %v", first, want)
+	}
+	before, err := svc.snapshot("")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The source flips the world: the idle pair is now the loaded pair.
+	src.SetLoad(g.NodeByName("c00"), 2.4)
+	src.SetLoad(g.NodeByName("c01"), 2.4)
+	src.SetLoad(g.NodeByName("c02"), 0)
+	src.SetLoad(g.NodeByName("c03"), 0)
+	src.Advance(1)
+
+	second := selectNodes(t, h, req)
+	sort.Strings(second)
+	if d := svc.Decisions(1)[0]; d.Cache != "hit" {
+		t.Fatalf("repeat select after the source changed: cache = %q, want hit", d.Cache)
+	}
+	if !reflect.DeepEqual(second, first) {
+		t.Fatalf("cached answer changed under the same epoch: %v vs %v", second, first)
+	}
+	// The hit is fresh, not stale: the snapshot the epoch names is
+	// untouched by the change, so recomputing now would give the same plan.
+	after, err := svc.snapshot("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(after.LoadAvg, before.LoadAvg) || !reflect.DeepEqual(after.AvailBW, before.AvailBW) {
+		t.Fatalf("source change leaked into the served snapshot without a poll:\nloads %v -> %v",
+			before.LoadAvg, after.LoadAvg)
+	}
+
+	// Only a poll ingests the change: the epoch moves, the cache flushes,
+	// and the same request now answers from the flipped world.
+	if err := svc.Poll(); err != nil {
+		t.Fatal(err)
+	}
+	third := selectNodes(t, h, req)
+	sort.Strings(third)
+	if d := svc.Decisions(1)[0]; d.Cache != "miss" {
+		t.Fatalf("select after poll: cache = %q, want miss", d.Cache)
+	}
+	if want := []string{"c02", "c03"}; !reflect.DeepEqual(third, want) {
+		t.Fatalf("post-poll select = %v, want the newly idle pair %v", third, want)
+	}
 }

@@ -58,11 +58,6 @@ type Config struct {
 	DefaultMode remos.Mode
 	// Seed seeds the random-baseline stream.
 	Seed int64
-	// Registry receives the service's metrics (and the collector's and
-	// agent client's). Nil creates a private registry; either way the
-	// registry is served at /metrics and /debug/vars. A registry must
-	// not be shared between two Services — metric names would collide.
-	Registry *metrics.Registry
 	// AuditSize bounds the decision audit ring (default 64).
 	AuditSize int
 	// ExcludeStale drops compute nodes whose measurements have outlived
@@ -175,10 +170,7 @@ type Service struct {
 
 // New builds a service over a measurement source.
 func New(src remos.Source, cfg Config) *Service {
-	reg := cfg.Registry
-	if reg == nil {
-		reg = metrics.NewRegistry()
-	}
+	reg := metrics.NewRegistry()
 	auditSize := cfg.AuditSize
 	if auditSize <= 0 {
 		auditSize = 64
