@@ -91,15 +91,13 @@ func batchOrder(items []BatchItem) []int {
 // expired leases are swept once, then each item runs the same
 // place-then-admission-check sequence as Acquire — in priority order,
 // against the residual view that already includes every earlier item's
-// debits — and the accepted set commits as a single OpBatch WAL record.
-// Rejected items carry their AdmissionError (or placer error) in their
-// BatchResult; a WAL append failure fails the whole accepted set and
-// rolls its debits back, leaving the ledger untouched (all-or-nothing,
-// matching the one-line-one-fsync crash story).
-//
-// On a replicated ledger the batch is one proposal: every accepted item
-// becomes a pending lease, the batch record goes through one quorum
-// round, and Apply finalizes all of them in log order.
+// debits — and the accepted set commits as a single OpBatch record: one
+// WAL line, or one quorum round on a replicated ledger. Every accepted item
+// is reserved as a pending lease, and Apply finalizes all of them in log
+// order. Rejected items carry their AdmissionError (or placer error) in
+// their BatchResult; a failed commit fails the whole accepted set and
+// returns its debits (all-or-nothing, matching the one-line-one-fsync
+// crash story).
 func (l *Ledger) AcquireBatch(ctx context.Context, snap *topology.Snapshot, items []BatchItem) []BatchResult {
 	ctx, span := reqtrace.StartSpan(ctx, "lease.acquire_batch")
 	span.SetAttr("items", fmt.Sprint(len(items)))
@@ -126,99 +124,12 @@ func (l *Ledger) AcquireBatch(ctx context.Context, snap *topology.Snapshot, item
 	}
 	order := batchOrder(items)
 
-	if l.replicator() != nil {
-		l.acquireBatchReplicated(ctx, snap, items, order, solvable, res)
-		return res
-	}
-
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	now := l.opt.Now()
 	l.sweepLocked(now)
-
-	type accepted struct {
-		idx int
-		ls  *Lease
-	}
-	var acc []accepted
-	var nested []Record
-	startID := l.nextID
-	for _, idx := range order {
-		if !solvable[idx] {
-			continue
-		}
-		it := &items[idx]
-		nodes, debits, err := l.placeAdmitLocked(it.ctx(), snap, it.Demand, it.Place)
-		if err != nil {
-			res[idx].Err = err
-			continue
-		}
-		ls := &Lease{
-			ID:      fmt.Sprintf("lease-%d", l.nextID),
-			Nodes:   append([]int(nil), nodes...),
-			Demand:  it.Demand,
-			Shape:   it.Shape.clone(),
-			Created: now,
-			Expiry:  now.Add(l.clampTTL(it.TTL)),
-			linkBW:  debits,
-		}
-		sort.Ints(ls.Nodes)
-		l.nextID++
-		// Debit immediately so the next item's residual sees this one;
-		// the lease itself stays out of the map until the batch is durable.
-		for _, id := range ls.Nodes {
-			l.addNodeCPU(id, it.Demand.CPU)
-		}
-		for lid, bw := range debits {
-			l.addLinkBW(lid, bw)
-		}
-		acc = append(acc, accepted{idx, ls})
-		rec := acquireRecord(l.g, ls)
-		rec.RequestID = reqtrace.TraceID(it.ctx())
-		nested = append(nested, rec)
-	}
-	if len(acc) == 0 {
-		return res
-	}
-	if l.opt.WAL != nil {
-		if err := l.opt.WAL.append(ctx, Record{Op: OpBatch, Batch: nested}); err != nil {
-			// All-or-nothing: the batch never became durable, so no item
-			// may be acked. Return every debit and the unissued IDs.
-			for _, a := range acc {
-				for _, id := range a.ls.Nodes {
-					l.addNodeCPU(id, -a.ls.Demand.CPU)
-				}
-				for lid, bw := range a.ls.linkBW {
-					l.addLinkBW(lid, -bw)
-				}
-				res[a.idx].Err = fmt.Errorf("lease: wal: %w", err)
-			}
-			l.nextID = startID
-			return res
-		}
-	}
-	for _, a := range acc {
-		l.leases[a.ls.ID] = a.ls
-		l.version++
-		l.stats.Acquired++
-		l.event("acquire", a.ls)
-		res[a.idx].Info = l.infoLocked(a.ls)
-	}
-	l.stats.Batches++
-	l.maybeCompactLocked()
-	return res
-}
-
-// acquireBatchReplicated is the replicated batch path: phase 1 reserves a
-// pending lease per accepted item (debits in place, invisible to reads),
-// phase 2 proposes the whole batch as one record through one quorum
-// round, phase 3 observes what Apply did — finalized pending leases on
-// success, rollback of every still-pending reservation on failure.
-func (l *Ledger) acquireBatchReplicated(ctx context.Context, snap *topology.Snapshot, items []BatchItem, order []int, solvable []bool, res []BatchResult) {
-	l.mu.Lock()
-	r := l.opt.Replicator
-	now := l.opt.Now()
-
+	// Each accepted item becomes a pending lease whose debits are in place
+	// at once, so the next item's residual sees them.
 	type accepted struct {
 		idx int
 		id  string
@@ -235,62 +146,18 @@ func (l *Ledger) acquireBatchReplicated(ctx context.Context, snap *topology.Snap
 			res[idx].Err = err
 			continue
 		}
-		ls := &Lease{
-			ID:      fmt.Sprintf("lease-%d", l.nextID),
-			Nodes:   append([]int(nil), nodes...),
-			Demand:  it.Demand,
-			Shape:   it.Shape.clone(),
-			Created: now,
-			Expiry:  now.Add(l.clampTTL(it.TTL)),
-			linkBW:  debits,
-			pending: true,
-		}
-		sort.Ints(ls.Nodes)
-		l.nextID++
-		for _, id := range ls.Nodes {
-			l.addNodeCPU(id, it.Demand.CPU)
-		}
-		for lid, bw := range debits {
-			l.addLinkBW(lid, bw)
-		}
-		l.leases[ls.ID] = ls
-		l.version++
+		ls := l.reserveLocked(nodes, it.Demand, it.Shape, debits, now, l.clampTTL(it.TTL))
 		acc = append(acc, accepted{idx, ls.ID})
 		rec := acquireRecord(l.g, ls)
 		rec.RequestID = reqtrace.TraceID(it.ctx())
 		nested = append(nested, rec)
 	}
 	if len(acc) == 0 {
-		l.mu.Unlock()
-		return
+		return res
 	}
-	rec := Record{Op: OpBatch, Batch: nested, RequestID: reqtrace.TraceID(ctx)}
-	l.mu.Unlock()
-
-	err := r.Replicate(ctx, &rec)
-
-	l.mu.Lock()
-	defer l.mu.Unlock()
+	err := l.commitLocked(ctx, Record{Op: OpBatch, Batch: nested, RequestID: reqtrace.TraceID(ctx)})
 	for _, a := range acc {
-		cur := l.leases[a.id]
-		switch {
-		case err != nil && cur != nil && cur.pending:
-			// The commit did not (visibly) happen: return the reservation.
-			// If the record commits after all, Apply re-installs from the
-			// record — the IDs are burned either way.
-			l.dropLocked(cur)
-			res[a.idx].Err = err
-		case cur != nil:
-			// Apply finalized (possibly racing a proposal timeout): the
-			// acked, replicated state wins over the error.
-			res[a.idx].Info = l.infoLocked(cur)
-		case err != nil:
-			res[a.idx].Err = err
-		default:
-			res[a.idx].Err = fmt.Errorf("lease: %q vanished during commit", a.id)
-		}
+		res[a.idx].Info, res[a.idx].Err = l.settleAcquireLocked(a.id, err)
 	}
-	if err == nil {
-		l.stats.Batches++
-	}
+	return res
 }

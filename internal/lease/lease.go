@@ -25,6 +25,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -160,18 +162,19 @@ type Lease struct {
 	// multiplicity times Demand.BW.
 	linkBW map[int]float64
 
-	// Replication bookkeeping (all zero on a non-replicated ledger, where
-	// every transition completes inside one critical section).
+	// Commit bookkeeping: nonzero only while a transition's record is being
+	// committed (see commitLocked) — on a standalone ledger that is inside
+	// one critical section, so no other caller ever sees it set.
 	//
 	// pending marks an acquire that has reserved its debits but whose
-	// record has not yet been committed by the replication quorum: the
-	// lease is invisible to reads and immune to sweeps until the commit
-	// finalizes it (or a quorum failure rolls it back).
+	// record has not yet committed: the lease is invisible to reads and
+	// immune to sweeps until Apply finalizes it (or a failed commit rolls it
+	// back).
 	pending bool
-	// inflight counts replication proposals outstanding against this lease
-	// (renew, release, migrate, expire). The sweeper must not propose an
-	// expiry while one is in flight, and conflicting capacity-moving
-	// proposals are refused rather than interleaved.
+	// inflight counts commits outstanding against this lease (renew,
+	// release, migrate, expire). The sweeper must not propose an expiry
+	// while one is in flight, and conflicting capacity-moving proposals are
+	// refused rather than interleaved.
 	inflight int
 	// handoverVer is the ledger version at which an in-flight
 	// reserve-new-alongside-old migration handover reserved its new debits
@@ -225,8 +228,9 @@ type Options struct {
 	// debug mode for tests, not for production traffic.
 	CrossCheck bool
 	// Replicator, when non-nil, turns the ledger into one replica of a
-	// replicated cluster: every transition is proposed through it and takes
-	// effect only via Apply, in replicated-log order, on every replica.
+	// replicated cluster: every transition is proposed through it instead
+	// of the WAL, and takes effect via Apply in replicated-log order on
+	// every replica.
 	// Mutually exclusive with WAL — a replicated ledger's durability lives
 	// in the replica log, and a second local WAL would double-apply on
 	// restart. Usually installed after construction via SetReplicator
@@ -260,16 +264,16 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Stats counts ledger transitions since construction (recovery included in
-// Acquired). Monotonic; read a copy with Ledger.Stats.
+// Stats counts ledger transitions since construction. Monotonic; read a
+// copy with Ledger.Stats.
 type Stats struct {
 	Acquired, Renewed, Released, Expired, Rejected, Migrated int64
 	// Recovered counts leases replayed from the WAL at construction;
 	// RecoverySkipped counts WAL entries dropped because they had expired
 	// or named nodes absent from the current topology.
 	Recovered, RecoverySkipped int64
-	// Batches counts AcquireBatch commits (each may carry many acquires,
-	// all included in Acquired/Rejected as usual).
+	// Batches counts applied AcquireBatch commits (each may carry many
+	// acquires, all included in Acquired/Rejected as usual).
 	Batches int64
 }
 
@@ -373,8 +377,9 @@ func (l *Ledger) SetOnEvent(fn func(op string, ls *Lease)) {
 }
 
 // Version returns a monotonic counter bumped on every capacity-changing
-// transition: acquire, release, expiry, and WAL recovery. Renewals do not
-// change residual capacity and do not bump it. A plan cached against one
+// step: reserving and finalizing an acquire or a migration handover, rolling
+// one back, release, expiry, and WAL recovery. Renewals do not change
+// residual capacity and do not bump it. A plan cached against one
 // version can never be served once the counter moves — versions are never
 // reused, so there is no ABA window.
 func (l *Ledger) Version() uint64 {
@@ -705,9 +710,6 @@ func (l *Ledger) acquireShaped(ctx context.Context, snap *topology.Snapshot, d D
 		return Info{}, fmt.Errorf("lease: snapshot does not belong to the ledger's graph")
 	}
 	ttl = l.clampTTL(ttl)
-	if l.replicator() != nil {
-		return l.acquireReplicated(ctx, snap, d, ttl, shape, place)
-	}
 
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -717,7 +719,54 @@ func (l *Ledger) acquireShaped(ctx context.Context, snap *topology.Snapshot, d D
 	if err != nil {
 		return Info{}, err
 	}
-	return l.commitLocked(ctx, nodes, d, shape, debits, now, ttl)
+	ls := l.reserveLocked(nodes, d, shape, debits, now, ttl)
+	rec := acquireRecord(l.g, ls)
+	rec.RequestID = reqtrace.TraceID(ctx)
+	return l.settleAcquireLocked(ls.ID, l.commitLocked(ctx, rec))
+}
+
+// reserveLocked issues the next lease ID to an admitted placement and
+// debits it at once as a pending lease: a concurrent admission sees the
+// debits, while readers and the sweep do not see the lease until Apply
+// finalizes it. Callers hold l.mu.
+func (l *Ledger) reserveLocked(nodes []int, d Demand, shape *Shape, debits map[int]float64, now time.Time, ttl time.Duration) *Lease {
+	ls := &Lease{
+		ID:      "lease-" + strconv.FormatInt(l.nextID, 10),
+		Nodes:   append([]int(nil), nodes...),
+		Demand:  d,
+		Shape:   shape.clone(),
+		Created: now,
+		Expiry:  now.Add(ttl),
+		linkBW:  debits,
+		pending: true,
+	}
+	sort.Ints(ls.Nodes)
+	l.nextID++
+	l.debitLocked(ls.Nodes, d.CPU, debits, 1)
+	l.leases[ls.ID] = ls
+	l.version++
+	return ls
+}
+
+// settleAcquireLocked reads back what the commit of a reserved acquire
+// did. Success means Apply finalized the pending lease; a failed commit
+// returns the reservation. A record that commits after all (a quorum ack
+// can race an error) is re-installed from the record by Apply, and one
+// Apply finalized before its error surfaced is acked: the committed state
+// wins over the error. The ID is burned either way, since Apply and
+// AdvanceSeq keep the counter past it. Callers hold l.mu.
+func (l *Ledger) settleAcquireLocked(id string, err error) (Info, error) {
+	cur := l.leases[id]
+	switch {
+	case err != nil && cur != nil && cur.pending:
+		l.dropLocked(cur)
+		return Info{}, err
+	case cur != nil:
+		return l.infoLocked(cur), nil
+	case err != nil:
+		return Info{}, err
+	}
+	return Info{}, fmt.Errorf("lease: %q vanished during commit", id)
 }
 
 // placeAdmitLocked runs the place-then-admission-check loop with
@@ -762,18 +811,11 @@ func (l *Ledger) placeAdmitLocked(ctx context.Context, snap *topology.Snapshot, 
 	return nil, nil, lastAdm
 }
 
-// replicator reads the installed Replicator under the lock (SetReplicator
-// may install it after New).
-func (l *Ledger) replicator() Replicator {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.opt.Replicator
-}
-
 // Migrate atomically moves an active lease to a new node set: the handover
-// is reserve-new-then-release-old in one critical section, so there is no
-// instant at which either the old or the new placement is unbacked by a
-// reservation, and no instant of oversubscription. The new set's debits
+// reserves the new set alongside the old one and releases the old one only
+// when Apply installs the migrate record, so there is no instant at which
+// either the old or the new placement is unbacked by a reservation, and no
+// instant of oversubscription. The new set's debits
 // are admission-checked against the residual view that still includes the
 // lease's own current reservation — the new set must fit *alongside* the
 // old one; if it cannot, Migrate rejects with the binding bottleneck and
@@ -796,9 +838,6 @@ func (l *Ledger) migrate(ctx context.Context, snap *topology.Snapshot, id string
 	if snap == nil || snap.Graph != l.g {
 		return Info{}, fmt.Errorf("lease: snapshot does not belong to the ledger's graph")
 	}
-	if l.replicator() != nil {
-		return l.migrateReplicated(ctx, snap, id, place)
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
@@ -806,15 +845,12 @@ func (l *Ledger) migrate(ctx context.Context, snap *topology.Snapshot, id string
 		// reserve-new half now could never be durably released.
 		return Info{}, ErrClosed
 	}
-	now := l.opt.Now()
-	ls, ok := l.leases[id]
-	if ok && !ls.Expiry.After(now) {
-		l.sweepLocked(now)
-		return Info{}, fmt.Errorf("%w: %q expired at %s", ErrExpired, id, ls.Expiry.Format(time.RFC3339))
+	ls, err := l.liveLocked(id, l.opt.Now())
+	if err != nil {
+		return Info{}, err
 	}
-	l.sweepLocked(now)
-	if ls, ok = l.leases[id]; !ok {
-		return Info{}, fmt.Errorf("%w: %q", ErrNotFound, id)
+	if ls.inflight > 0 || ls.handoverVer != 0 {
+		return Info{}, fmt.Errorf("%w: lease %q has a transition in flight", ErrRejected, id)
 	}
 
 	residual := l.residualLocked(snap)
@@ -838,38 +874,59 @@ func (l *Ledger) migrate(ctx context.Context, snap *topology.Snapshot, id string
 		return Info{}, adm
 	}
 
-	// WAL first, like every transition: the migrate record carries the full
-	// new lease state, so replay after a crash lands on exactly one of the
-	// two placements, never a mixture.
-	moved := *ls
-	moved.Nodes = nodes
-	moved.linkBW = debits
-	if l.opt.WAL != nil {
-		rec := acquireRecord(l.g, &moved)
-		rec.Op = OpMigrate
-		if err := l.opt.WAL.append(ctx, rec); err != nil {
-			return Info{}, fmt.Errorf("lease: wal: %w", err)
-		}
-	}
-	for _, nid := range nodes {
-		l.addNodeCPU(nid, ls.Demand.CPU)
-	}
-	for lid, bw := range debits {
-		l.addLinkBW(lid, bw)
-	}
-	for _, nid := range ls.Nodes {
-		l.addNodeCPU(nid, -ls.Demand.CPU)
-	}
-	for lid, bw := range ls.linkBW {
-		l.addLinkBW(lid, -bw)
-	}
-	ls.Nodes = nodes
-	ls.linkBW = debits
+	// Reserve the new half alongside the old one. handoverVer (the version
+	// of the reservation) shields the lease from TTL expiry and rival
+	// transitions until the commit decides. The migrate record carries the
+	// full new lease state, so replay after a crash lands on exactly one of
+	// the two placements, never a mixture.
+	l.debitLocked(nodes, ls.Demand.CPU, debits, 1)
+	ls.pendingNodes, ls.pendingLinkBW = nodes, debits
 	l.version++
-	l.stats.Migrated++
-	l.event("migrate", ls)
-	l.maybeCompactLocked()
-	return l.infoLocked(ls), nil
+	ls.handoverVer = l.version
+	moved := *ls
+	moved.Nodes, moved.linkBW = nodes, debits
+	rec := acquireRecord(l.g, &moved)
+	rec.Op = OpMigrate
+	rec.RequestID = reqtrace.TraceID(ctx)
+	err = l.commitLocked(ctx, rec)
+
+	cur := l.leases[id]
+	if cur == nil {
+		// Unreachable by construction (handoverVer blocks release, expiry
+		// and rival proposals), kept for defense in depth.
+		if err == nil {
+			err = fmt.Errorf("%w: %q", ErrNotFound, id)
+		}
+		return Info{}, err
+	}
+	if cur.handoverVer != 0 {
+		// Apply did not finalize the handover: return the new half's debits.
+		l.dropHandoverLocked(cur)
+		l.version++
+		if err == nil {
+			err = fmt.Errorf("lease: migrate %q committed without applying", id)
+		}
+		return Info{}, err
+	}
+	return l.infoLocked(cur), nil
+}
+
+// liveLocked finds the lease a renew or migrate acts on, sweeping expired
+// leases on the way. The expiry check precedes the sweep: sweeping first
+// would reclaim an overdue lease and misreport it as never having
+// existed. A pending lease has not committed, so it does not exist yet.
+// Callers hold l.mu.
+func (l *Ledger) liveLocked(id string, now time.Time) (*Lease, error) {
+	ls, ok := l.leases[id]
+	if ok && !ls.pending && !ls.Expiry.After(now) {
+		l.sweepLocked(now)
+		return nil, fmt.Errorf("%w: %q expired at %s", ErrExpired, id, ls.Expiry.Format(time.RFC3339))
+	}
+	l.sweepLocked(now)
+	if !ok || ls.pending {
+		return nil, fmt.Errorf("%w: %q", ErrNotFound, id)
+	}
+	return ls, nil
 }
 
 // sameNodeSet reports whether two sorted node slices are identical.
@@ -901,11 +958,8 @@ func (l *Ledger) admissionCheck(residual *topology.Snapshot, nodes []int, d Dema
 			}
 		}
 	}
-	debits := make(map[int]float64)
+	debits := l.linkDebits(nodes, d.BW)
 	if d.BW > 0 {
-		for lid, flows := range l.g.FlowLinkCounts(nodes) {
-			debits[lid] = float64(flows) * d.BW
-		}
 		// Check links in ID order, not map order: the first violation found
 		// names the bottleneck AND sets the escalation floor in
 		// placeAdmitLocked, so iteration order must be deterministic or
@@ -930,37 +984,27 @@ func (l *Ledger) admissionCheck(residual *topology.Snapshot, nodes []int, d Dema
 	return debits, nil
 }
 
-// commitLocked records an admitted placement: WAL first (an append failure
-// aborts the admit), then the in-memory debits. Callers hold l.mu.
-func (l *Ledger) commitLocked(ctx context.Context, nodes []int, d Demand, shape *Shape, debits map[int]float64, now time.Time, ttl time.Duration) (Info, error) {
-	ls := &Lease{
-		ID:      fmt.Sprintf("lease-%d", l.nextID),
-		Nodes:   append([]int(nil), nodes...),
-		Demand:  d,
-		Shape:   shape.clone(),
-		Created: now,
-		Expiry:  now.Add(ttl),
-		linkBW:  debits,
-	}
-	sort.Ints(ls.Nodes)
-	if l.opt.WAL != nil {
-		if err := l.opt.WAL.append(ctx, acquireRecord(l.g, ls)); err != nil {
-			return Info{}, fmt.Errorf("lease: wal: %w", err)
+// linkDebits is the bandwidth a placement's all-pairs flows debit from
+// each link they cross: flow multiplicity times the per-flow demand.
+func (l *Ledger) linkDebits(nodes []int, bw float64) map[int]float64 {
+	debits := make(map[int]float64)
+	if bw > 0 {
+		for lid, flows := range l.g.FlowLinkCounts(nodes) {
+			debits[lid] = float64(flows) * bw
 		}
 	}
-	l.nextID++
-	for _, id := range ls.Nodes {
-		l.addNodeCPU(id, d.CPU)
+	return debits
+}
+
+// debitLocked adds (sign 1) or returns (sign -1) one placement's debits:
+// cpu on every node, and each link's bandwidth. Callers hold l.mu.
+func (l *Ledger) debitLocked(nodes []int, cpu float64, links map[int]float64, sign float64) {
+	for _, id := range nodes {
+		l.addNodeCPU(id, sign*cpu)
 	}
-	for lid, bw := range debits {
-		l.addLinkBW(lid, bw)
+	for lid, bw := range links {
+		l.addLinkBW(lid, sign*bw)
 	}
-	l.leases[ls.ID] = ls
-	l.version++
-	l.stats.Acquired++
-	l.event("acquire", ls)
-	l.maybeCompactLocked()
-	return l.infoLocked(ls), nil
 }
 
 // Renew extends a lease's term to now + ttl (the default TTL when ttl is
@@ -983,33 +1027,31 @@ func (l *Ledger) Renew(ctx context.Context, id string, ttl time.Duration) (Info,
 
 func (l *Ledger) renew(ctx context.Context, id string, ttl time.Duration) (Info, error) {
 	ttl = l.clampTTL(ttl)
-	if l.replicator() != nil {
-		return l.renewReplicated(ctx, id, ttl)
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	now := l.opt.Now()
-	// The expiry check must precede the sweep: sweeping first would reclaim
-	// the overdue lease and misreport it as never having existed.
-	if ls, ok := l.leases[id]; ok && !ls.Expiry.After(now) {
-		l.sweepLocked(now)
-		return Info{}, fmt.Errorf("%w: %q expired at %s", ErrExpired, id, ls.Expiry.Format(time.RFC3339))
+	ls, err := l.liveLocked(id, now)
+	if err != nil {
+		return Info{}, err
 	}
-	l.sweepLocked(now)
-	ls, ok := l.leases[id]
-	if !ok {
-		return Info{}, fmt.Errorf("%w: %q", ErrNotFound, id)
-	}
-	ls.Expiry = now.Add(ttl)
-	if l.opt.WAL != nil {
-		if err := l.opt.WAL.append(ctx, Record{Op: OpRenew, ID: id, ExpiryUnixMS: ls.Expiry.UnixMilli()}); err != nil {
-			return Info{}, fmt.Errorf("lease: wal: %w", err)
+	// The new expiry is stamped into the record so every replica, and a
+	// replayed WAL, lands on the identical timestamp.
+	ls.inflight++
+	err = l.commitLocked(ctx, Record{Op: OpRenew, ID: id, ExpiryUnixMS: now.Add(ttl).UnixMilli(), RequestID: reqtrace.TraceID(ctx)})
+	cur := l.leases[id]
+	if cur == nil {
+		if err != nil {
+			return Info{}, err
 		}
+		// The renew committed but a competing expire/release landed right
+		// after it in the log: the lease is gone and must be re-admitted.
+		return Info{}, fmt.Errorf("%w: %q", ErrExpired, id)
 	}
-	l.stats.Renewed++
-	l.event("renew", ls)
-	l.maybeCompactLocked()
-	return l.infoLocked(ls), nil
+	cur.inflight--
+	if err != nil {
+		return Info{}, err
+	}
+	return l.infoLocked(cur), nil
 }
 
 // Release returns a lease's capacity to the pool.
@@ -1025,51 +1067,48 @@ func (l *Ledger) Release(ctx context.Context, id string) error {
 }
 
 func (l *Ledger) release(ctx context.Context, id string) error {
-	if l.replicator() != nil {
-		return l.releaseReplicated(ctx, id)
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.sweepLocked(l.opt.Now())
 	ls, ok := l.leases[id]
-	if !ok {
+	if !ok || ls.pending {
 		return fmt.Errorf("%w: %q", ErrNotFound, id)
 	}
-	if l.opt.WAL != nil {
-		if err := l.opt.WAL.append(ctx, Record{Op: OpRelease, ID: id}); err != nil {
-			return fmt.Errorf("lease: wal: %w", err)
-		}
+	if ls.handoverVer != 0 {
+		// A release interleaved into an uncommitted handover would leave the
+		// migrate record to resurrect the lease on replay; refuse instead.
+		return fmt.Errorf("%w: lease %q has a migration handover in flight", ErrRejected, id)
 	}
-	l.dropLocked(ls)
-	l.stats.Released++
-	l.event("release", ls)
-	l.maybeCompactLocked()
+	ls.inflight++
+	err := l.commitLocked(ctx, Record{Op: OpRelease, ID: id, RequestID: reqtrace.TraceID(ctx)})
+	if cur := l.leases[id]; cur != nil {
+		cur.inflight--
+		return err // still present: only possible when the commit failed
+	}
+	// Gone — released by this commit, or expired just before it. The
+	// capacity is returned either way, which is all Release promises.
 	return nil
 }
 
 // dropLocked credits a lease's debits back and forgets it. Callers hold
-// l.mu and handle WAL and stats themselves.
+// l.mu and handle stats themselves.
 func (l *Ledger) dropLocked(ls *Lease) {
-	for _, id := range ls.Nodes {
-		l.addNodeCPU(id, -ls.Demand.CPU)
-	}
-	for lid, bw := range ls.linkBW {
-		l.addLinkBW(lid, -bw)
-	}
+	l.debitLocked(ls.Nodes, ls.Demand.CPU, ls.linkBW, -1)
 	// A committed release/expire lands while a reserve-new-alongside-old
 	// handover is still awaiting quorum: return the new half's debits too,
 	// or they would leak forever.
 	if ls.pendingLinkBW != nil {
-		for _, id := range ls.pendingNodes {
-			l.addNodeCPU(id, -ls.Demand.CPU)
-		}
-		for lid, bw := range ls.pendingLinkBW {
-			l.addLinkBW(lid, -bw)
-		}
-		ls.pendingNodes, ls.pendingLinkBW, ls.handoverVer = nil, nil, 0
+		l.dropHandoverLocked(ls)
 	}
 	delete(l.leases, ls.ID)
 	l.version++
+}
+
+// dropHandoverLocked returns the reserve-new half of a handover that has
+// not been finalized. Callers hold l.mu.
+func (l *Ledger) dropHandoverLocked(ls *Lease) {
+	l.debitLocked(ls.pendingNodes, ls.Demand.CPU, ls.pendingLinkBW, -1)
+	ls.pendingNodes, ls.pendingLinkBW, ls.handoverVer = nil, nil, 0
 }
 
 // sweepLocked expires leases whose term has passed. Callers hold l.mu.
@@ -1089,14 +1128,13 @@ func (l *Ledger) sweepLocked(now time.Time) int {
 	// Deterministic order for WAL contents and observers.
 	sort.Slice(expired, func(i, j int) bool { return expired[i].ID < expired[j].ID })
 	for _, ls := range expired {
+		rec := Record{Op: OpExpire, ID: ls.ID}
 		if l.opt.WAL != nil {
 			// Expiry is derivable from timestamps at recovery; a failed
 			// append must not keep dead capacity reserved, so log best-effort.
-			l.opt.WAL.append(context.Background(), Record{Op: OpExpire, ID: ls.ID})
+			l.opt.WAL.append(context.Background(), rec)
 		}
-		l.dropLocked(ls)
-		l.stats.Expired++
-		l.event("expire", ls)
+		l.applyLocked(rec)
 	}
 	return len(expired)
 }
@@ -1119,10 +1157,11 @@ func (l *Ledger) transitionInFlightLocked(ls *Lease) bool {
 // ErrNotLeader and reclaim nothing; the committed expiry reaches them
 // through Apply).
 func (l *Ledger) Sweep() int {
-	if r := l.replicator(); r != nil {
+	l.mu.Lock()
+	if r := l.opt.Replicator; r != nil {
+		l.mu.Unlock()
 		return l.sweepReplicated(r)
 	}
-	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.sweepLocked(l.opt.Now())
 }
@@ -1209,10 +1248,16 @@ func (l *Ledger) Active() []Info {
 	return out
 }
 
-// leaseSeq extracts N from "lease-N" (-1 when unparseable).
+// leaseSeq extracts N from "lease-N": -1 unless N is a non-negative int64
+// written in plain decimal. Apply runs it on every record, so it must not
+// allocate.
 func leaseSeq(id string) int64 {
-	var n int64
-	if _, err := fmt.Sscanf(id, "lease-%d", &n); err != nil {
+	digits, ok := strings.CutPrefix(id, "lease-")
+	if !ok {
+		return -1
+	}
+	n, err := strconv.ParseInt(digits, 10, 64)
+	if err != nil || n < 0 {
 		return -1
 	}
 	return n
@@ -1273,9 +1318,10 @@ func (l *Ledger) maybeCompactLocked() {
 
 // recover replays the WAL into the ledger: unexpired leases are
 // re-admitted without re-running admission control (they were admitted
-// before the restart), with link debits recomputed from the current
-// graph's routes. Leases naming nodes absent from the topology, or whose
-// expiry has passed, are skipped and counted.
+// before the restart) by the same install a follower's Apply runs, with
+// link debits recomputed from the current graph's routes. Leases naming
+// nodes absent from the topology, or whose expiry has passed, are skipped
+// and counted.
 func (l *Ledger) recover() error {
 	active, maxSeq, err := l.opt.WAL.load()
 	if err != nil {
@@ -1284,51 +1330,13 @@ func (l *Ledger) recover() error {
 	now := l.opt.Now()
 	l.nextID = maxSeq + 1
 	for _, rec := range active {
-		expiry := time.UnixMilli(rec.ExpiryUnixMS)
-		if !expiry.After(now) {
+		if !time.UnixMilli(rec.ExpiryUnixMS).After(now) {
 			l.stats.RecoverySkipped++
 			continue
 		}
-		nodes := make([]int, 0, len(rec.Nodes))
-		known := true
-		for _, name := range rec.Nodes {
-			id := l.g.NodeByName(name)
-			if id < 0 {
-				known = false
-				break
-			}
-			nodes = append(nodes, id)
+		if l.installRecordLocked(rec) != nil {
+			l.stats.Recovered++
 		}
-		if !known {
-			l.stats.RecoverySkipped++
-			continue
-		}
-		sort.Ints(nodes)
-		d := Demand{CPU: rec.CPU, BW: rec.BW}
-		debits := make(map[int]float64)
-		if d.BW > 0 {
-			for lid, flows := range l.g.FlowLinkCounts(nodes) {
-				debits[lid] = float64(flows) * d.BW
-			}
-		}
-		ls := &Lease{
-			ID:      rec.ID,
-			Nodes:   nodes,
-			Demand:  d,
-			Shape:   rec.Shape.clone(),
-			Created: time.UnixMilli(rec.CreatedUnixMS),
-			Expiry:  expiry,
-			linkBW:  debits,
-		}
-		for _, id := range nodes {
-			l.addNodeCPU(id, d.CPU)
-		}
-		for lid, bw := range debits {
-			l.addLinkBW(lid, bw)
-		}
-		l.leases[ls.ID] = ls
-		l.version++
-		l.stats.Recovered++
 	}
 	return nil
 }

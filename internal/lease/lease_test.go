@@ -385,3 +385,72 @@ func TestStartSweeper(t *testing.T) {
 	stop()
 	stop() // idempotent
 }
+
+// TestTransitionAllocs counts the heap allocations of one leased
+// acquire+renew+release on a WAL ledger — the in-process stand-in for
+// allocs_per_req on the flat200_admit workload. The bound is what the
+// ledger allocated when standalone transitions mutated in place instead of
+// committing through Apply: routing them through Apply must cost nothing
+// extra (Apply parses every record's lease ID, and a Record that escapes
+// on every commit would show here).
+func TestTransitionAllocs(t *testing.T) {
+	const bound = 41
+	clock := newFakeClock()
+	g := testbed.Star(16, 100e6)
+	w, err := OpenWAL(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.CompactEvery = math.MaxInt // compaction is not part of the transition
+	l, err := New(g, Options{Now: clock.Now, WAL: w})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	snap := topology.NewSnapshot(g)
+	nodes := []int{1, 2, 3, 4}
+	place := func(context.Context, *topology.Snapshot, float64) ([]int, error) { return nodes, nil }
+	ctx := context.Background()
+	avg := testing.AllocsPerRun(50, func() {
+		info, err := l.Acquire(ctx, snap, Demand{CPU: 0.25, BW: 1e6}, time.Minute, place)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := l.Renew(ctx, info.ID, 2*time.Minute); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Release(ctx, info.ID); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("acquire+renew+release: %.0f allocations", avg)
+	if avg > bound {
+		t.Fatalf("acquire+renew+release allocates %.0f objects, bound %d", avg, bound)
+	}
+}
+
+// TestLeaseSeq pins the lease-ID parser that Apply runs on every record:
+// ledger-issued IDs parse to their sequence, anything else is -1.
+func TestLeaseSeq(t *testing.T) {
+	for _, tc := range []struct {
+		id   string
+		want int64
+	}{
+		{"lease-0", 0},
+		{"lease-7", 7},
+		{"lease-9223372036854775807", math.MaxInt64},
+		{"lease-", -1},
+		{"x-1", -1},
+		{"", -1},
+		{"lease-9223372036854775808", -1}, // overflows int64
+		// Malformed forms no ledger issues: trailing garbage, a sign and a
+		// space are not a sequence.
+		{"lease-5x", -1},
+		{"lease--3", -1},
+		{"lease- 8", -1},
+	} {
+		if got := leaseSeq(tc.id); got != tc.want {
+			t.Errorf("leaseSeq(%q) = %d, want %d", tc.id, got, tc.want)
+		}
+	}
+}

@@ -425,3 +425,34 @@ func TestReplicatedLedgerRefusesWAL(t *testing.T) {
 		t.Fatal("WAL + Replicator must be rejected")
 	}
 }
+
+// TestReplicatedBatchIsOneProposal: on a replicated ledger a batch of n
+// admissions is one Replicate call and one log entry carrying every
+// accepted acquire, and the follower converges on all of them.
+func TestReplicatedBatchIsOneProposal(t *testing.T) {
+	clock := newFakeClock()
+	leader, follower, r := newReplicatedPair(t, 8, clock)
+	snap := topology.NewSnapshot(leader.Graph())
+	items := make([]BatchItem, 4)
+	for i := range items {
+		items[i] = BatchItem{Demand: Demand{CPU: 0.25, BW: 5e6}, TTL: time.Minute,
+			Place: balancedPlace(2, 0.25), Key: fmt.Sprintf("k%d", i), Seq: uint64(i)}
+	}
+	for i, res := range leader.AcquireBatch(context.Background(), snap, items) {
+		if res.Err != nil {
+			t.Fatalf("item %d: %v", i, res.Err)
+		}
+	}
+	if len(r.log) != 1 {
+		t.Fatalf("a batch of %d made %d log entries, want 1", len(items), len(r.log))
+	}
+	if e := r.log[0]; e.Op != OpBatch || len(e.Batch) != len(items) {
+		t.Fatalf("log entry is %q with %d nested records, want %q with %d", e.Op, len(e.Batch), OpBatch, len(items))
+	}
+	for name, l := range map[string]*Ledger{"leader": leader, "follower": follower} {
+		if st := l.Stats(); st.Batches != 1 || st.Acquired != int64(len(items)) {
+			t.Fatalf("%s stats %+v, want Batches=1 Acquired=%d", name, st, len(items))
+		}
+	}
+	assertConverged(t, leader, follower)
+}

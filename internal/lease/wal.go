@@ -16,10 +16,11 @@ import (
 
 // The ledger's persistence is an append-only JSON-lines write-ahead log
 // plus a periodic snapshot of the active leases. Every transition appends
-// one record (synced to disk before the in-memory state changes, so an
-// admitted lease is never lost); once enough records accumulate the log is
-// compacted: the active set is written to a snapshot file and the log
-// truncated. Recovery loads the snapshot and replays the log on top,
+// one record, synced to disk before Apply installs it, so an admitted
+// lease is never lost: the WAL is the replicated log of a cluster of one,
+// and applying its records in order to a fresh ledger rebuilds this one.
+// Once enough records accumulate the log is compacted: the active set is
+// written to a snapshot file and the log truncated. Recovery loads the snapshot and replays the log on top,
 // tolerating a torn final line from a crash mid-append: the prefix is
 // recovered, a warning is logged, and the file is truncated back to the
 // last intact record so later appends never concatenate onto torn bytes.
@@ -300,7 +301,7 @@ func (w *WAL) load() (active []Record, maxSeq int64, err error) {
 }
 
 // append writes one record and syncs it to disk. The ledger calls this
-// *before* mutating in-memory state, so a crash never loses an
+// *before* Apply installs the record, so a crash never loses an
 // acknowledged transition. The record is stamped with the context's
 // trace ID, and the write+fsync is timed as a "wal.fsync" span — fsync is
 // the one disk wait on the admission path, so it gets its own span.

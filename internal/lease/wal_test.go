@@ -337,3 +337,36 @@ func TestAcquireFailsWhenWALUnwritable(t *testing.T) {
 		t.Fatal("failed acquire left state behind")
 	}
 }
+
+// TestRenewWALFailureKeepsExpiry: a renew whose WAL append fails must not
+// extend the lease in memory. The extension never became durable, so a
+// restart would hand back the old term the caller was told had failed to
+// change.
+func TestRenewWALFailureKeepsExpiry(t *testing.T) {
+	clock := newFakeClock()
+	w, err := OpenWAL(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := New(starGraph(4), Options{Now: clock.Now, WAL: w})
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := l.Acquire(context.Background(), newSnap(l), Demand{CPU: 0.25}, time.Minute, balancedPlace(2, 0.25))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.close() // every append now fails
+
+	clock.Advance(10 * time.Second)
+	if _, err := l.Renew(context.Background(), info.ID, 5*time.Minute); err == nil {
+		t.Fatal("renew succeeded with an unwritable WAL")
+	}
+	got, ok := l.Get(info.ID)
+	if !ok {
+		t.Fatalf("lease %s vanished after a failed renew", info.ID)
+	}
+	if !got.ExpiresAt.Equal(info.ExpiresAt) {
+		t.Fatalf("failed renew moved the in-memory expiry %v -> %v", info.ExpiresAt, got.ExpiresAt)
+	}
+}
