@@ -19,12 +19,9 @@
 //
 // Adding -debug also serves net/http/pprof under /debug/pprof/.
 //
-// Fault injection turns the fleet into a chaos testbed: with any of
-// -chaos-hang, -chaos-drop, -chaos-corrupt or -chaos-delay set (all
-// probabilities per response), every agent hides behind a fault-injecting
-// proxy on its public port, reproducibly seeded by -chaos-seed:
-//
-//	remosd -listen 127.0.0.1:7700 -chaos-drop 0.1 -chaos-hang 0.05
+// Fault injection (hung, crashed, slow and byte-corrupting agents) is
+// agent.ChaosProxy's job; `make chaos` drives a seeded fault schedule
+// against a loopback fleet.
 package main
 
 import (
@@ -54,42 +51,11 @@ func main() {
 		tick     = flag.Duration("tick", time.Second, "interval at which the synthetic clock advances")
 		httpAddr = flag.String("http", "", "observability HTTP address (/metrics, /debug/vars); empty disables")
 		debug    = flag.Bool("debug", false, "with -http, also serve net/http/pprof under /debug/pprof/")
-
-		chaos        chaosFlags
-		chaosSeed    = flag.Int64("chaos-seed", 1, "fault stream seed (reproducible chaos)")
-		chaosDelayMS = flag.Int("chaos-delay-ms", 50, "delay injected by -chaos-delay, in milliseconds")
 	)
-	flag.Float64Var(&chaos.hang, "chaos-hang", 0, "probability a response is swallowed (client hits its read deadline)")
-	flag.Float64Var(&chaos.drop, "chaos-drop", 0, "probability the connection is severed mid-exchange")
-	flag.Float64Var(&chaos.corrupt, "chaos-corrupt", 0, "probability a response frame is byte-corrupted")
-	flag.Float64Var(&chaos.delay, "chaos-delay", 0, "probability a response is delayed by -chaos-delay-ms")
 	flag.Parse()
-	chaos.seed = *chaosSeed
-	chaos.delayDur = time.Duration(*chaosDelayMS) * time.Millisecond
-	if err := run(*listen, *tick, *httpAddr, *debug, chaos); err != nil {
+	if err := run(*listen, *tick, *httpAddr, *debug); err != nil {
 		fmt.Fprintln(os.Stderr, "remosd:", err)
 		os.Exit(1)
-	}
-}
-
-// chaosFlags gathers the fault-injection command line.
-type chaosFlags struct {
-	hang, drop, corrupt, delay float64
-	delayDur                   time.Duration
-	seed                       int64
-}
-
-func (c chaosFlags) enabled() bool {
-	return c.hang > 0 || c.drop > 0 || c.corrupt > 0 || c.delay > 0
-}
-
-func (c chaosFlags) config() agent.ChaosConfig {
-	return agent.ChaosConfig{
-		HangRate:    c.hang,
-		DropRate:    c.drop,
-		CorruptRate: c.corrupt,
-		DelayRate:   c.delay,
-		Delay:       c.delayDur,
 	}
 }
 
@@ -110,7 +76,7 @@ func newFleetMetrics(reg *metrics.Registry, src *remos.StaticSource) *fleetMetri
 	}
 }
 
-func run(listen string, tick time.Duration, httpAddr string, debug bool, chaos chaosFlags) error {
+func run(listen string, tick time.Duration, httpAddr string, debug bool) error {
 	g, snap, err := topology.ReadDocument(os.Stdin)
 	if err != nil {
 		return err
@@ -136,11 +102,7 @@ func run(listen string, tick time.Duration, httpAddr string, debug bool, chaos c
 	fm := newFleetMetrics(reg, src)
 
 	agents := make([]*agent.Agent, 0, g.NumNodes())
-	var proxies []*agent.ChaosProxy
 	defer func() {
-		for _, p := range proxies {
-			p.Close()
-		}
 		for _, a := range agents {
 			a.Close()
 		}
@@ -148,25 +110,7 @@ func run(listen string, tick time.Duration, httpAddr string, debug bool, chaos c
 	for node := 0; node < g.NumNodes(); node++ {
 		a := agent.NewAgent(src, node)
 		a.OnRequest = func(op string) { fm.requests.With(op).Inc() }
-		public := net.JoinHostPort(host, strconv.Itoa(basePort+node))
-		if chaos.enabled() {
-			// The agent hides on an ephemeral port; a fault-injecting proxy
-			// takes its public address, so clients exercise their retry,
-			// breaker and staleness paths against a misbehaving fleet.
-			backend, err := a.Listen(net.JoinHostPort(host, "0"))
-			if err != nil {
-				return fmt.Errorf("node %s: %w", g.Node(node).Name, err)
-			}
-			agents = append(agents, a)
-			p, err := agent.NewChaosProxyOn(public, backend, chaos.seed+int64(node), chaos.config())
-			if err != nil {
-				return fmt.Errorf("node %s: chaos proxy: %w", g.Node(node).Name, err)
-			}
-			proxies = append(proxies, p)
-			fmt.Printf("%-12s %s (chaos)\n", g.Node(node).Name, p.Addr())
-			continue
-		}
-		addr, err := a.Listen(public)
+		addr, err := a.Listen(net.JoinHostPort(host, strconv.Itoa(basePort+node)))
 		if err != nil {
 			return fmt.Errorf("node %s: %w", g.Node(node).Name, err)
 		}
@@ -174,12 +118,6 @@ func run(listen string, tick time.Duration, httpAddr string, debug bool, chaos c
 		fmt.Printf("%-12s %s\n", g.Node(node).Name, addr)
 	}
 	reg.NewGauge("remosd_agents", "Agents serving in this fleet.").Set(float64(len(agents)))
-
-	if chaos.enabled() {
-		reg.NewGauge("remosd_chaos_enabled", "Fault injection active on every agent path.").Set(1)
-		fmt.Printf("remosd: chaos active (hang %.2f drop %.2f corrupt %.2f delay %.2f/%s, seed %d)\n",
-			chaos.hang, chaos.drop, chaos.corrupt, chaos.delay, chaos.delayDur, chaos.seed)
-	}
 
 	var server *http.Server
 	if httpAddr != "" {
@@ -218,7 +156,7 @@ func run(listen string, tick time.Duration, httpAddr string, debug bool, chaos c
 			fm.ticks.Inc()
 		case <-stop:
 			// Graceful: drain in-flight observability requests before the
-			// deferred agent/proxy teardown closes the fleet.
+			// deferred agent teardown closes the fleet.
 			fmt.Println("\nremosd: shutting down")
 			if server != nil {
 				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

@@ -31,9 +31,10 @@
 //
 // Long-running applications: with -rebalance the daemon re-scores every
 // active lease each measurement epoch and publishes migration proposals
-// when a sustained load shift makes a better placement available:
+// when a sustained load shift makes a placement at least 25% better
+// available:
 //
-//	selectd ... -rebalance -rebalance-min-gain 0.25
+//	selectd ... -rebalance
 //	curl localhost:8800/migrations
 //	curl -X POST localhost:8800/migrations/lease-0/apply
 //
@@ -42,7 +43,9 @@
 //
 // SIGINT/SIGTERM shut the daemon down gracefully: in-flight requests
 // drain (5s budget), the rebalance controller stops (waiting out any
-// in-flight handover), and the ledger is flushed before exit.
+// in-flight handover), and the ledger is flushed before exit. A server
+// failure, or a start-up failure after some components have started,
+// stops what has started in the same order.
 //
 // High availability: with -replica-id the daemon joins a replicated
 // cluster. The lease ledger's transitions are streamed through a
@@ -73,6 +76,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -94,6 +98,14 @@ import (
 	"nodeselect/internal/topology"
 )
 
+// Settings no deployment has needed to change. The library fields behind
+// them stay, because tests drive them to other values.
+const (
+	sweepInterval    = 5 * time.Second // background lease-expiry sweep
+	rebalanceMinGain = 0.25            // minimum relative gain of a proposed migration
+	drainBudget      = 5 * time.Second // in-flight requests' grace on shutdown
+)
+
 // options carries the parsed command line.
 type options struct {
 	listen, agents string
@@ -108,27 +120,16 @@ type options struct {
 
 	leaseDir              string
 	leaseTTL, leaseMaxTTL time.Duration
-	leaseSweep            time.Duration
-	residualCheck         bool
 
 	batchWindow time.Duration
-	batchMax    int
 
 	planCache int
 	hierarchy bool
 
-	rebalance        bool
-	rebalanceAuto    bool
-	rebalanceMinGain float64
-	rebalanceCost    float64
-	rebalanceConfirm int
-	rebalanceCool    time.Duration
-	rebalanceBudget  int
+	rebalance     bool
+	rebalanceAuto bool
 
-	traceOff      bool
-	traceCapacity int
-	traceSlow     time.Duration
-	traceSample   float64
+	traceOff bool
 
 	replicaID       string
 	replicaPeers    string
@@ -140,50 +141,48 @@ type options struct {
 }
 
 func main() {
-	var o options
-	flag.StringVar(&o.listen, "listen", "127.0.0.1:8800", "HTTP listen address")
-	flag.StringVar(&o.agents, "agents", "", "base agent address (node i at port+i)")
-	flag.IntVar(&o.nodeCnt, "nodes", 0, "agent count for topology discovery")
-	flag.BoolVar(&o.stdin, "stdin", false, "read a topology document from stdin and serve a synthetic source")
-	flag.DurationVar(&o.period, "period", 2*time.Second, "measurement polling period")
-	flag.BoolVar(&o.debug, "debug", false, "serve net/http/pprof under /debug/pprof/")
-	flag.DurationVar(&o.connectTimeout, "connect-timeout", 2*time.Second, "agent TCP connect deadline")
-	flag.DurationVar(&o.ioTimeout, "io-timeout", 2*time.Second, "agent request/response deadline")
-	flag.BoolVar(&o.allowPartial, "allow-partial", false, "start with the reachable subset of the agent fleet (discovery still needs all agents)")
-	flag.DurationVar(&o.maxStale, "max-stale", 0, "serve last-known-good measurements at most this old; 0 = forever")
-	flag.BoolVar(&o.excludeStale, "exclude-stale", false, "drop nodes with stale measurements from /select candidates (needs -max-stale)")
-	flag.StringVar(&o.leaseDir, "lease-dir", "", "directory for the reservation ledger's write-ahead log; leases survive restarts (empty = in-memory only)")
-	flag.DurationVar(&o.leaseTTL, "lease-ttl", 30*time.Second, "default lease time to live when a request names none")
-	flag.DurationVar(&o.leaseMaxTTL, "lease-max-ttl", 10*time.Minute, "ceiling on any requested lease TTL")
-	flag.DurationVar(&o.leaseSweep, "lease-sweep", 5*time.Second, "interval of the background lease-expiry sweeper")
-	flag.BoolVar(&o.residualCheck, "residual-check", false, "cross-check the ledger's incremental residual view against a full recompute on every derivation (debug; panics on divergence)")
-	flag.DurationVar(&o.batchWindow, "batch-window", 0, "epoch-batch admission window: queue concurrent leased selects up to this long and commit them as one WAL record (0 = serial admission)")
-	flag.IntVar(&o.batchMax, "batch-max", 64, "flush an admission batch early once it holds this many requests")
-	flag.IntVar(&o.planCache, "plan-cache", 0, "max plans memoized per snapshot/ledger epoch (0 = default 256, negative = disable caching)")
-	flag.BoolVar(&o.hierarchy, "hierarchy", false, "answer plain sweep selects via cluster-first hierarchical selection (exact-equivalent quotient sweep with flat fallback; keeps select latency sub-millisecond on 10k+-node topologies)")
-	flag.BoolVar(&o.rebalance, "rebalance", false, "run the placement rebalance controller in advisory mode (proposals via /migrations, applied on request)")
-	flag.BoolVar(&o.rebalanceAuto, "rebalance-auto", false, "apply confirmed migration proposals automatically (implies -rebalance)")
-	flag.Float64Var(&o.rebalanceMinGain, "rebalance-min-gain", 0.25, "minimum relative minresource gain before a migration is proposed")
-	flag.Float64Var(&o.rebalanceCost, "rebalance-cost", 0, "fixed handover cost subtracted from the candidate score before the gain test")
-	flag.IntVar(&o.rebalanceConfirm, "rebalance-confirm", 2, "consecutive epochs the advisor must repeat a destination before it becomes a proposal")
-	flag.DurationVar(&o.rebalanceCool, "rebalance-cooldown", time.Minute, "per-lease quiet period after a handover before it may move again")
-	flag.IntVar(&o.rebalanceBudget, "rebalance-budget", 1, "maximum new proposals (advisory) or handovers (auto) per epoch")
-	flag.BoolVar(&o.traceOff, "trace-off", false, "disable request tracing (X-Request-ID correlation stays on)")
-	flag.IntVar(&o.traceCapacity, "trace-capacity", 0, "retained traces per class — error/slow and sampled (0 = default 128)")
-	flag.DurationVar(&o.traceSlow, "trace-slow", 0, "latency above which a trace is always retained (0 = default 250ms)")
-	flag.Float64Var(&o.traceSample, "trace-sample", 0, "fraction of fast healthy traces to keep, 0..1 (0 = default 0.1, negative = none)")
-	flag.StringVar(&o.replicaID, "replica-id", "", "this replica's name in a replicated cluster (empty = standalone)")
-	flag.StringVar(&o.replicaPeers, "replica-peers", "", "comma-separated id=url pairs of the OTHER replicas' RPC endpoints (e.g. b=http://h2:8811,c=http://h3:8811)")
-	flag.StringVar(&o.replicaListen, "replica-listen", "", "listen address for the replica RPC server (required with -replica-peers)")
-	flag.StringVar(&o.replicaDir, "replica-dir", "", "directory for the replicated log and term state (required with -replica-id)")
-	flag.StringVar(&o.peerClientURLs, "peer-urls", "", "comma-separated id=url pairs of every replica's CLIENT endpoint, for 307 write redirects")
-	flag.DurationVar(&o.electionTimeout, "election-timeout", 500*time.Millisecond, "replica heartbeat-loss timeout before a new election")
-	flag.DurationVar(&o.heartbeat, "replica-heartbeat", 100*time.Millisecond, "leader append/heartbeat interval")
-	flag.Parse()
-	if err := run(o); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := run(ctx, os.Args[1:], os.Stdin, os.Stdout)
+	stop()
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "selectd:", err)
 		os.Exit(1)
 	}
+}
+
+// parseFlags parses the command line; usage and parse errors go to out.
+func parseFlags(args []string, out io.Writer) (options, error) {
+	var o options
+	fs := flag.NewFlagSet("selectd", flag.ContinueOnError)
+	fs.SetOutput(out)
+	fs.StringVar(&o.listen, "listen", "127.0.0.1:8800", "HTTP listen address")
+	fs.StringVar(&o.agents, "agents", "", "base agent address (node i at port+i)")
+	fs.IntVar(&o.nodeCnt, "nodes", 0, "agent count for topology discovery")
+	fs.BoolVar(&o.stdin, "stdin", false, "read a topology document from stdin and serve a synthetic source")
+	fs.DurationVar(&o.period, "period", 2*time.Second, "measurement polling period")
+	fs.BoolVar(&o.debug, "debug", false, "serve net/http/pprof under /debug/pprof/")
+	fs.DurationVar(&o.connectTimeout, "connect-timeout", 2*time.Second, "agent TCP connect deadline")
+	fs.DurationVar(&o.ioTimeout, "io-timeout", 2*time.Second, "agent request/response deadline")
+	fs.BoolVar(&o.allowPartial, "allow-partial", false, "start with the reachable subset of the agent fleet (discovery still needs all agents)")
+	fs.DurationVar(&o.maxStale, "max-stale", 0, "serve last-known-good measurements at most this old; 0 = forever")
+	fs.BoolVar(&o.excludeStale, "exclude-stale", false, "drop nodes with stale measurements from /select candidates (needs -max-stale)")
+	fs.StringVar(&o.leaseDir, "lease-dir", "", "directory for the reservation ledger's write-ahead log; leases survive restarts (empty = in-memory only)")
+	fs.DurationVar(&o.leaseTTL, "lease-ttl", 30*time.Second, "default lease time to live when a request names none")
+	fs.DurationVar(&o.leaseMaxTTL, "lease-max-ttl", 10*time.Minute, "ceiling on any requested lease TTL")
+	fs.DurationVar(&o.batchWindow, "batch-window", 0, "epoch-batch admission window: queue concurrent leased selects up to this long (or 64 of them) and commit them as one WAL record (0 = serial admission)")
+	fs.IntVar(&o.planCache, "plan-cache", 0, "max plans memoized per snapshot/ledger epoch (0 = default 256, negative = disable caching)")
+	fs.BoolVar(&o.hierarchy, "hierarchy", false, "answer plain sweep selects via cluster-first hierarchical selection (exact-equivalent quotient sweep with flat fallback; keeps select latency sub-millisecond on 10k+-node topologies)")
+	fs.BoolVar(&o.rebalance, "rebalance", false, "run the placement rebalance controller in advisory mode (proposals via /migrations, applied on request)")
+	fs.BoolVar(&o.rebalanceAuto, "rebalance-auto", false, "apply confirmed migration proposals automatically (implies -rebalance)")
+	fs.BoolVar(&o.traceOff, "trace-off", false, "disable request tracing (X-Request-ID correlation stays on)")
+	fs.StringVar(&o.replicaID, "replica-id", "", "this replica's name in a replicated cluster (empty = standalone)")
+	fs.StringVar(&o.replicaPeers, "replica-peers", "", "comma-separated id=url pairs of the OTHER replicas' RPC endpoints (e.g. b=http://h2:8811,c=http://h3:8811)")
+	fs.StringVar(&o.replicaListen, "replica-listen", "", "listen address for the replica RPC server (required with -replica-peers)")
+	fs.StringVar(&o.replicaDir, "replica-dir", "", "directory for the replicated log and term state (required with -replica-id)")
+	fs.StringVar(&o.peerClientURLs, "peer-urls", "", "comma-separated id=url pairs of every replica's CLIENT endpoint, for 307 write redirects")
+	fs.DurationVar(&o.electionTimeout, "election-timeout", 500*time.Millisecond, "replica heartbeat-loss timeout before a new election")
+	fs.DurationVar(&o.heartbeat, "replica-heartbeat", 100*time.Millisecond, "leader append/heartbeat interval")
+	return o, fs.Parse(args)
 }
 
 // mountPprof adds the net/http/pprof handlers to a mux. The handlers are
@@ -197,13 +196,81 @@ func mountPprof(mux *http.ServeMux) {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 }
 
-func run(o options) error {
-	listen, agents, nodeCnt := o.listen, o.agents, o.nodeCnt
-	stdin, period, debug := o.stdin, o.period, o.debug
+// stopStack is the daemon's teardown. Each component pushes its stop as
+// it starts, and unwind runs the stops newest first, so a component stops
+// before anything started ahead of it: servers before the service they
+// call, the replica node before the ledger it applies to, the ledger
+// before the source.
+type stopStack struct {
+	names []string
+	stops []func() error
+}
+
+func (s *stopStack) push(name string, stop func() error) {
+	s.names = append(s.names, name)
+	s.stops = append(s.stops, stop)
+}
+
+// unwind runs every stop, newest first, reports the order on out and
+// returns the stops' errors joined.
+func (s *stopStack) unwind(out io.Writer) error {
+	if len(s.stops) == 0 {
+		return nil
+	}
+	var errs []error
+	order := make([]string, 0, len(s.names))
+	for i := len(s.stops) - 1; i >= 0; i-- {
+		if err := s.stops[i](); err != nil {
+			errs = append(errs, fmt.Errorf("stop %s: %w", s.names[i], err))
+		}
+		order = append(order, s.names[i])
+	}
+	fmt.Fprintf(out, "selectd: stopped %s\n", strings.Join(order, ", "))
+	return errors.Join(errs...)
+}
+
+// noErr adapts a stop that cannot fail.
+func noErr(stop func()) func() error {
+	return func() error { stop(); return nil }
+}
+
+// run starts the daemon from a command line and serves until ctx is done
+// or a server fails. Whatever has started is stopped before it returns,
+// on every path.
+func run(ctx context.Context, args []string, stdin io.Reader, stdout io.Writer) (err error) {
+	o, err := parseFlags(args, stdout)
+	if err != nil {
+		return err
+	}
+	if o.excludeStale && o.maxStale <= 0 {
+		return fmt.Errorf("-exclude-stale needs -max-stale")
+	}
+	replicated := o.replicaID != ""
+	if replicated && o.leaseDir != "" {
+		return fmt.Errorf("-lease-dir and -replica-id are mutually exclusive: a replicated ledger's durability is the replicated log under -replica-dir")
+	}
+	if replicated && o.replicaDir == "" {
+		return fmt.Errorf("-replica-id needs -replica-dir")
+	}
+	peerRPC, err := parsePeerList(o.replicaPeers)
+	if err != nil {
+		return fmt.Errorf("-replica-peers: %w", err)
+	}
+	peerClients, err := parsePeerList(o.peerClientURLs)
+	if err != nil {
+		return fmt.Errorf("-peer-urls: %w", err)
+	}
+	if replicated && len(peerRPC) > 0 && o.replicaListen == "" {
+		return fmt.Errorf("-replica-peers needs -replica-listen")
+	}
+
+	var stops stopStack
+	defer func() { err = errors.Join(err, stops.unwind(stdout)) }()
+
 	var src remos.Source
 	switch {
-	case stdin:
-		g, snap, err := topology.ReadDocument(os.Stdin)
+	case o.stdin:
+		g, snap, err := topology.ReadDocument(stdin)
 		if err != nil {
 			return err
 		}
@@ -215,18 +282,30 @@ func run(o options) error {
 			return err
 		}
 		// Advance the synthetic clock in real time.
+		t := time.NewTicker(o.period)
+		done, exited := make(chan struct{}), make(chan struct{})
 		go func() {
-			t := time.NewTicker(period)
-			for range t.C {
-				st.Advance(period.Seconds())
+			defer close(exited)
+			for {
+				select {
+				case <-t.C:
+					st.Advance(o.period.Seconds())
+				case <-done:
+					return
+				}
 			}
 		}()
+		stops.push("clock", noErr(func() {
+			t.Stop()
+			close(done)
+			<-exited
+		}))
 		src = st
-	case agents != "":
-		if nodeCnt <= 0 {
+	case o.agents != "":
+		if o.nodeCnt <= 0 {
 			return fmt.Errorf("-agents needs -nodes (the agent count)")
 		}
-		host, portStr, err := net.SplitHostPort(agents)
+		host, portStr, err := net.SplitHostPort(o.agents)
 		if err != nil {
 			return err
 		}
@@ -234,7 +313,7 @@ func run(o options) error {
 		if err != nil {
 			return err
 		}
-		addrs := make([]string, nodeCnt)
+		addrs := make([]string, o.nodeCnt)
 		for i := range addrs {
 			addrs[i] = net.JoinHostPort(host, strconv.Itoa(base+i))
 		}
@@ -248,30 +327,19 @@ func run(o options) error {
 		if err != nil {
 			return err
 		}
+		stops.push("agents", noErr(ns.Close))
 		if un := ns.Unreachable(); len(un) > 0 {
 			g := ns.Topology()
 			names := make([]string, len(un))
 			for i, id := range un {
 				names[i] = g.Node(id).Name
 			}
-			fmt.Printf("selectd: starting degraded, %d/%d agents unreachable: %v\n",
-				len(un), nodeCnt, names)
+			fmt.Fprintf(stdout, "selectd: starting degraded, %d/%d agents unreachable: %v\n",
+				len(un), o.nodeCnt, names)
 		}
 		src = ns
 	default:
 		return fmt.Errorf("either -stdin or -agents is required")
-	}
-
-	if o.excludeStale && o.maxStale <= 0 {
-		return fmt.Errorf("-exclude-stale needs -max-stale")
-	}
-
-	replicated := o.replicaID != ""
-	if replicated && o.leaseDir != "" {
-		return fmt.Errorf("-lease-dir and -replica-id are mutually exclusive: a replicated ledger's durability is the replicated log under -replica-dir")
-	}
-	if replicated && o.replicaDir == "" {
-		return fmt.Errorf("-replica-id needs -replica-dir")
 	}
 
 	// The reservation ledger. With -lease-dir it is backed by a write-ahead
@@ -279,7 +347,7 @@ func run(o options) error {
 	// In a replicated cluster the ledger is built bare here and wired to
 	// the replica node below: durability and recovery come from the
 	// replicated log instead of a local WAL.
-	leaseOpts := lease.Options{DefaultTTL: o.leaseTTL, MaxTTL: o.leaseMaxTTL, CrossCheck: o.residualCheck}
+	leaseOpts := lease.Options{DefaultTTL: o.leaseTTL, MaxTTL: o.leaseMaxTTL}
 	if o.leaseDir != "" {
 		w, err := lease.OpenWAL(o.leaseDir)
 		if err != nil {
@@ -291,8 +359,9 @@ func run(o options) error {
 	if err != nil {
 		return err
 	}
+	stops.push("ledger", ledger.Close)
 	if st := ledger.Stats(); st.Recovered > 0 || st.RecoverySkipped > 0 {
-		fmt.Printf("selectd: recovered %d leases from %s (%d skipped)\n",
+		fmt.Fprintf(stdout, "selectd: recovered %d leases from %s (%d skipped)\n",
 			st.Recovered, o.leaseDir, st.RecoverySkipped)
 	}
 
@@ -301,19 +370,7 @@ func run(o options) error {
 	// advanced past every lease sequence anywhere in the recovered log —
 	// committed or rolled back — so no ID is ever reused across failover.
 	var node *replica.Node
-	var peerRPC, peerClients map[string]string
 	if replicated {
-		peerRPC, err = parsePeerList(o.replicaPeers)
-		if err != nil {
-			return fmt.Errorf("-replica-peers: %w", err)
-		}
-		peerClients, err = parsePeerList(o.peerClientURLs)
-		if err != nil {
-			return fmt.Errorf("-peer-urls: %w", err)
-		}
-		if len(peerRPC) > 0 && o.replicaListen == "" {
-			return fmt.Errorf("-replica-peers needs -replica-listen")
-		}
 		peerIDs := make([]string, 0, len(peerRPC))
 		for id := range peerRPC {
 			peerIDs = append(peerIDs, id)
@@ -331,16 +388,18 @@ func run(o options) error {
 		if err != nil {
 			return err
 		}
-		defer node.Stop()
+		// Stopping flushes and closes the replicated log; the stack runs it
+		// before the ledger closes, so no Apply lands on a closed ledger.
+		stops.push("replica node", noErr(node.Stop))
 		ledger.SetReplicator(node)
 		ledger.AdvanceSeq(node.MaxLeaseSeq())
-		fmt.Printf("selectd: replica %s with peers %v, log at %s\n",
+		fmt.Fprintf(stdout, "selectd: replica %s with peers %v, log at %s\n",
 			o.replicaID, peerIDs, o.replicaDir)
 	}
 
 	cfg := selectsvc.Config{
 		Collector: remos.CollectorConfig{
-			Period:      period.Seconds(),
+			Period:      o.period.Seconds(),
 			MaxStaleAge: o.maxStale.Seconds(),
 		},
 		DefaultMode:   remos.Window,
@@ -350,115 +409,95 @@ func run(o options) error {
 		PlanCacheSize: o.planCache,
 		Hierarchy:     o.hierarchy,
 		BatchWindow:   o.batchWindow,
-		BatchMax:      o.batchMax,
-		Trace: reqtrace.Config{
-			Disabled:      o.traceOff,
-			Capacity:      o.traceCapacity,
-			SlowThreshold: o.traceSlow,
-			SampleRate:    o.traceSample,
-		},
+		Trace:         reqtrace.Config{Disabled: o.traceOff},
 	}
 	if node != nil {
 		cfg.Replica = node
 		cfg.PeerClientURLs = peerClients
 	}
 	if o.rebalance || o.rebalanceAuto {
-		cfg.Rebalance = &rebalance.Policy{
-			MinGain:       o.rebalanceMinGain,
-			MigrationCost: o.rebalanceCost,
-			ConfirmEpochs: o.rebalanceConfirm,
-			Cooldown:      o.rebalanceCool,
-			MaxPerEpoch:   o.rebalanceBudget,
-			Auto:          o.rebalanceAuto,
-		}
+		cfg.Rebalance = &rebalance.Policy{MinGain: rebalanceMinGain, Auto: o.rebalanceAuto}
 	}
 	svc := selectsvc.New(src, cfg)
+	// Batched admissions drain before the ledger closes: StopBatching
+	// blocks until every queued acquire has committed or failed, and
+	// StopRebalance until any in-flight handover has.
+	stops.push("batching", noErr(svc.StopBatching))
+	stops.push("rebalance", noErr(svc.StopRebalance))
 	start := time.Now()
 	svc.Registry().NewGaugeFunc("process_uptime_seconds",
 		"Seconds since the daemon started.",
 		func() float64 { return time.Since(start).Seconds() })
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
 	if err := svc.Poll(); err != nil {
 		return err
 	}
-	// Background measurement loop. Its stop function blocks until any
-	// in-flight poll (which sweeps the lease ledger) has returned, so the
-	// shutdown paths below can order ingestion-stop before ledger close.
-	stopPolling := svc.StartPolling(period, func(err error) {
+	// Background measurement loop. Its stop blocks until any in-flight
+	// poll (which sweeps the lease ledger) has returned.
+	stops.push("polling", noErr(svc.StartPolling(o.period, func(err error) {
 		fmt.Fprintln(os.Stderr, "selectd: poll:", err)
-	})
+	})))
 	// Expire abandoned leases even between polls and requests.
-	stopSweeper := ledger.StartSweeper(o.leaseSweep)
+	stops.push("sweeper", noErr(ledger.StartSweeper(sweepInterval)))
 
-	mux := http.NewServeMux()
-	mux.Handle("/", svc.Handler())
-	if debug {
-		mountPprof(mux)
-	}
-	fmt.Printf("selectd: measuring %d nodes, serving on %s\n",
-		src.Topology().NumNodes(), listen)
-
-	server := &http.Server{Addr: listen, Handler: mux}
-	errc := make(chan error, 1)
+	errc := make(chan error, 2) // at most one send from each server
 	// The replica RPC plane gets its own listener so peer traffic (votes,
 	// log streams) is never queued behind client requests.
-	var replicaServer *http.Server
 	if node != nil && o.replicaListen != "" {
-		replicaServer = &http.Server{Addr: o.replicaListen, Handler: replica.Handler(node)}
+		rs := &http.Server{Addr: o.replicaListen, Handler: replica.Handler(node)}
+		exited := make(chan struct{})
 		go func() {
-			if err := replicaServer.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
+			defer close(exited)
+			if err := rs.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 				errc <- fmt.Errorf("replica server: %w", err)
 			}
 		}()
-	}
-	go func() { errc <- server.ListenAndServe() }()
-	select {
-	case err := <-errc:
-		stopPolling()
-		svc.StopRebalance()
-		svc.StopBatching()
-		stopSweeper()
-		if replicaServer != nil {
-			replicaServer.Close()
-		}
-		ledger.Close()
-		return err
-	case <-ctx.Done():
+		stops.push("replica server", func() error {
+			err := rs.Close()
+			<-exited
+			return err
+		})
 	}
 
-	// Graceful shutdown: stop accepting, drain in-flight requests, stop
-	// the rebalance controller (Close blocks until any in-flight handover
-	// has committed to the ledger), then flush the ledger so reservations
-	// — including that last handover — are on disk before exit.
-	fmt.Println("\nselectd: shutting down")
-	shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	shutErr := server.Shutdown(shutCtx)
-	if errors.Is(shutErr, context.DeadlineExceeded) {
-		server.Close()
+	mux := http.NewServeMux()
+	mux.Handle("/", svc.Handler())
+	if o.debug {
+		mountPprof(mux)
 	}
-	// Measurement ingestion stops first: after stopPolling returns, no
-	// poll (and no poll-driven ledger sweep) is in flight — mirroring the
-	// StopRebalance-before-flush ordering below.
-	stopPolling()
-	svc.StopRebalance()
-	// Batched admissions drain before the ledger flushes: Close blocks
-	// until every queued acquire has committed (or failed) through the WAL.
-	svc.StopBatching()
-	stopSweeper()
-	if replicaServer != nil {
-		replicaServer.Close()
+	ln, err := net.Listen("tcp", o.listen)
+	if err != nil {
+		return err
 	}
-	if node != nil {
-		node.Stop() // flushes and closes the replicated log
+	server := &http.Server{Handler: mux}
+	exited := make(chan struct{})
+	go func() {
+		defer close(exited)
+		if err := server.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
+			errc <- err
+		}
+	}()
+	// Stop accepting and drain in-flight requests; past the budget, cut
+	// them off.
+	stops.push("http server", func() error {
+		shutCtx, cancel := context.WithTimeout(context.Background(), drainBudget)
+		defer cancel()
+		err := server.Shutdown(shutCtx)
+		if errors.Is(err, context.DeadlineExceeded) {
+			server.Close()
+		}
+		<-exited
+		return err
+	})
+	fmt.Fprintf(stdout, "selectd: measuring %d nodes, serving on %s\n",
+		src.Topology().NumNodes(), ln.Addr())
+
+	select {
+	case err := <-errc:
+		return err
+	case <-ctx.Done():
+		fmt.Fprintln(stdout, "\nselectd: shutting down")
+		return nil
 	}
-	if err := ledger.Close(); err != nil {
-		return fmt.Errorf("lease ledger close: %w", err)
-	}
-	return shutErr
 }
 
 // parsePeerList parses "id=url,id=url" into a map; empty input is an

@@ -55,13 +55,7 @@ type ChaosProxy struct {
 // backend. Faults are drawn from a stream seeded by seed, so a chaos run
 // is reproducible.
 func NewChaosProxy(backend string, seed int64, cfg ChaosConfig) (*ChaosProxy, error) {
-	return NewChaosProxyOn("127.0.0.1:0", backend, seed, cfg)
-}
-
-// NewChaosProxyOn is NewChaosProxy listening on a caller-chosen address,
-// for deployments whose clients expect fixed ports (remosd -chaos).
-func NewChaosProxyOn(addr, backend string, seed int64, cfg ChaosConfig) (*ChaosProxy, error) {
-	ln, err := net.Listen("tcp", addr)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, fmt.Errorf("agent: chaos listen: %w", err)
 	}
